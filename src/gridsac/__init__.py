@@ -12,9 +12,10 @@ from .grid_model import (Branch, Bus, BusKind, CaseError, CaseSemanticError,
 from .harness import (CampaignConfig, EvaluationReport, ModelRegistry,
                       RunConfig, SelectionMetric, SnapshotGenSpec, evaluate,
                       generate_snapshots, periodic_retrain, run_campaign)
-from .power_flow import (PowerFlowSolution, SolverOptions, ViolationReport,
-                         audit_violations, build_admittance,
-                         compute_branch_flows, solve_newton_raphson)
+from .power_flow import (CompiledGrid, PowerFlowSolution, SolverOptions,
+                         ViolationReport, audit_violations, build_admittance,
+                         compile_grid, compute_branch_flows,
+                         solve_newton_raphson)
 from .sac import (ReplayBuffer, SacAgent, SacConfig, SelectMode, Transition,
                   load_checkpoint, save_checkpoint, train)
 

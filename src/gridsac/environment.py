@@ -16,8 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .grid_model import GridCase, V_SET_MAX, V_SET_MIN, with_plant_setpoints
-from .power_flow import (PowerFlowSolution, SolverOptions, ViolationReport,
-                         audit_violations, solve_newton_raphson)
+from .power_flow import (CompiledGrid, PowerFlowSolution, SolverOptions,
+                         ViolationReport, audit_violations, compile_grid,
+                         solve_newton_raphson)
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +35,8 @@ __all__ = [
     "check_termination",
     "extract_state",
     "fit_normalizer",
+    "state_dim",
+    "state_layout",
     "DIVERGENCE_REWARD",
     "SUCCESS_LOSS_REDUCTION",
 ]
@@ -90,10 +93,12 @@ class StepResult:
 
 @dataclass
 class SnapshotEpisode:
-    """One snapshot under control: the case, its solved base point, and the
-    pre-control loss every step is scored against."""
+    """One snapshot under control: the case, its compiled grid (shared by
+    every solve, audit and state extraction of the episode), its solved base
+    point, and the pre-control loss every step is scored against."""
 
     case: GridCase
+    grid: CompiledGrid
     base_solution: PowerFlowSolution
     p_loss_pre: float
     v_set_initial: np.ndarray
@@ -137,6 +142,7 @@ def fit_normalizer(samples: Sequence[StateVector | np.ndarray]) -> Normalizer:
 
 
 def state_layout(case: GridCase) -> dict[str, tuple[int, int]]:
+    """Index range of each feature block of the observation."""
     nb = len(case.monitored_buses)
     nl = len(case.monitored_branches)
     return {
@@ -147,18 +153,27 @@ def state_layout(case: GridCase) -> dict[str, tuple[int, int]]:
     }
 
 
+def state_dim(case: GridCase) -> int:
+    """Length of the observation: the end of the last block of the layout."""
+    return max(end for _, end in state_layout(case).values())
+
+
 def extract_state(case: GridCase, solution: PowerFlowSolution,
-                  normalizer: Normalizer | None = None) -> StateVector:
+                  normalizer: Normalizer | None = None, *,
+                  grid: CompiledGrid | None = None) -> StateVector:
     """Observation from a converged solution: monitored bus V and angle, then
-    monitored branch P and Q (from side), each block sorted by id."""
-    bus_idx = [case.bus_position[b] for b in sorted(case.monitored_buses)]
-    branch_index = {br.id: k for k, br in enumerate(case.branches)}
-    br_idx = [branch_index[b] for b in sorted(case.monitored_branches)]
+    monitored branch P and Q (from side), each block sorted by id.
+
+    ``grid`` is ``case`` compiled by :func:`~gridsac.power_flow.compile_grid`
+    (or a case it serves); without it the case is compiled for this call.
+    """
+    grid = compile_grid(case) if grid is None else grid.check(case)
+    buses, branches = grid.state_bus, grid.state_branch
     raw = np.concatenate([
-        solution.v_mag[bus_idx],
-        solution.v_ang[bus_idx],
-        solution.flows.p_from[br_idx],
-        solution.flows.q_from[br_idx],
+        solution.v_mag[buses],
+        solution.v_ang[buses],
+        solution.flows.p_from[branches],
+        solution.flows.q_from[branches],
     ])
     values = normalizer.transform(raw) if normalizer is not None else raw
     return StateVector(values=values, layout=state_layout(case))
@@ -258,7 +273,8 @@ class GridControlEnv:
             if case is None:
                 raise SnapshotStreamExhausted(
                     f"snapshot stream exhausted ({self.skipped_snapshots} skipped)")
-            base = solve_newton_raphson(case, opts=self.solver_options)
+            grid = compile_grid(case)
+            base = solve_newton_raphson(case, opts=self.solver_options, grid=grid)
             if not base.converged:
                 self.skipped_snapshots += 1
                 logger.info("skipping snapshot: base power flow did not converge")
@@ -270,20 +286,19 @@ class GridControlEnv:
             break
         self.episode = SnapshotEpisode(
             case=case,
+            grid=grid,
             base_solution=base,
             p_loss_pre=base.p_loss_total,
             v_set_initial=_plant_setpoints(case),
             max_steps=self.max_steps,
         )
         if self.normalizer is None:
-            nb = len(case.monitored_buses)
-            nl = len(case.monitored_branches)
-            self.normalizer = Normalizer.identity(2 * nb + 2 * nl)
-        report = audit_violations(case, base)
+            self.normalizer = Normalizer.identity(state_dim(case))
+        report = audit_violations(case, base, grid=grid)
         reward = compute_reward(base.p_loss_total, self.episode.p_loss_pre, report)
         self._current_case = case
         self._current_solution = base
-        self._current_state = extract_state(case, base, self.normalizer)
+        self._current_state = extract_state(case, base, self.normalizer, grid=grid)
         self._done = False
         return (self._current_state, reward, self.episode.p_loss_pre,
                 self.episode.v_set_initial.copy(), False)
@@ -304,7 +319,7 @@ class GridControlEnv:
         case = with_plant_setpoints(
             self._current_case, dict(zip(episode.case.plant_order, v_set)))
         sol = solve_newton_raphson(case, start=self._current_solution,
-                                   opts=self._warm_options)
+                                   opts=self._warm_options, grid=episode.grid)
         episode.step_count += 1
 
         if not sol.converged:
@@ -321,7 +336,7 @@ class GridControlEnv:
             )
             return result
 
-        report = audit_violations(case, sol)
+        report = audit_violations(case, sol, grid=episode.grid)
         p_loss = sol.p_loss_total
         delta_frac = (p_loss - episode.p_loss_pre) / episode.p_loss_pre
         reward = compute_reward(p_loss, episode.p_loss_pre, report)
@@ -330,7 +345,7 @@ class GridControlEnv:
 
         self._current_case = case
         self._current_solution = sol
-        self._current_state = extract_state(case, sol, self.normalizer)
+        self._current_state = extract_state(case, sol, self.normalizer, grid=episode.grid)
         self._done = done
         return StepResult(
             next_state=self._current_state,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -276,11 +276,8 @@ def _validate(case: GridCase) -> None:
                 raise CaseSemanticError(f"generator {g.id}: {name} not finite")
         if not (g.q_min < g.q_max):
             raise CaseSemanticError(f"generator {g.id}: q_min must be < q_max")
-        if not (g.p_min <= g.p_gen <= g.p_max):
-            raise CaseSemanticError(f"generator {g.id}: p_gen outside [p_min, p_max]")
-        if not (V_SET_MIN <= g.v_set <= V_SET_MAX):
-            raise CaseSemanticError(
-                f"generator {g.id}: v_set outside [{V_SET_MIN}, {V_SET_MAX}]")
+        _check_p_gen_range(g, g.p_gen)
+        _check_v_set_range(g, g.v_set)
 
     gen_set = set(gen_ids)
     claimed: dict[int, int] = {}
@@ -330,6 +327,22 @@ def _check_connected(case: GridCase) -> None:
 
 def _finite(x: float) -> bool:
     return x == x and abs(x) != float("inf")
+
+
+def _check_finite(what: str, ident: int, name: str, value: float) -> None:
+    """The check and message of :func:`_validate` for one finite field."""
+    if not _finite(value):
+        raise CaseSemanticError(f"{what} {ident}: {name} not finite")
+
+
+def _check_p_gen_range(g: Generator, p_gen: float) -> None:
+    if not (g.p_min <= p_gen <= g.p_max):
+        raise CaseSemanticError(f"generator {g.id}: p_gen outside [p_min, p_max]")
+
+
+def _check_v_set_range(g: Generator, v_set: float) -> None:
+    if not (V_SET_MIN <= v_set <= V_SET_MAX):
+        raise CaseSemanticError(f"generator {g.id}: v_set outside [{V_SET_MIN}, {V_SET_MAX}]")
 
 
 # --- case file format -------------------------------------------------------
@@ -524,32 +537,77 @@ def rebase(case: GridCase, base_mva: float) -> GridCase:
                    generators=generators)
 
 
+# Cached properties that depend only on ids and topology, which no
+# ``with_*`` derivation changes; a derived case shares them with its source.
+_TOPOLOGY_CACHES = ("bus_order", "bus_position", "branch_by_id", "plant_by_id",
+                    "plant_order")
+_CASE_FIELDS = tuple(f.name for f in fields(GridCase))
+
+
+def _copy_with(component, **changes):
+    """``replace(component, **changes)`` for a bus or generator, whose
+    dataclass has no ``__post_init__``; skips the frozen ``__init__``."""
+    new = object.__new__(type(component))
+    new.__dict__.update(component.__dict__, **changes)
+    return new
+
+
+def _derived(case: GridCase, **changes) -> GridCase:
+    """``replace(case, **changes)`` without re-running the full validation.
+
+    Only for changes the caller has already checked with the checks and
+    messages of :func:`_validate`: every other invariant holds because
+    ``case`` passed validation.
+    """
+    source = case.__dict__
+    state = {name: source[name] for name in _CASE_FIELDS}
+    state.update(changes)
+    for name in _TOPOLOGY_CACHES:
+        if name in source:
+            state[name] = source[name]
+    new = object.__new__(GridCase)
+    new.__dict__.update(state)
+    return new
+
+
 def with_plant_setpoints(case: GridCase, setpoints: Mapping[int, float]) -> GridCase:
     """New case with the given per-plant voltage setpoint applied to every
     generator of each listed plant."""
     for pid in setpoints:
         if pid not in case.plant_by_id:
             raise KeyError(f"unknown plant id {pid}")
-    generators = tuple(
-        replace(g, v_set=float(setpoints[g.plant])) if g.plant in setpoints else g
-        for g in case.generators
-    )
-    return replace(case, generators=generators)
+    generators = []
+    for g in case.generators:
+        if g.plant in setpoints:
+            v_set = float(setpoints[g.plant])
+            _check_finite("generator", g.id, "v_set", v_set)
+            _check_v_set_range(g, v_set)
+            g = _copy_with(g, v_set=v_set)
+        generators.append(g)
+    return _derived(case, generators=tuple(generators))
 
 
 def with_loads(case: GridCase, p_load: Mapping[int, float],
                q_load: Mapping[int, float] | None = None) -> GridCase:
+    """New case with the given per-bus active and reactive loads; buses not
+    listed keep theirs."""
     q_load = q_load if q_load is not None else {}
-    buses = tuple(
-        replace(b, p_load=float(p_load.get(b.id, b.p_load)),
-                q_load=float(q_load.get(b.id, b.q_load)))
-        for b in case.buses
-    )
-    return replace(case, buses=buses)
+    buses = []
+    for b in case.buses:
+        p, q = float(p_load.get(b.id, b.p_load)), float(q_load.get(b.id, b.q_load))
+        _check_finite("bus", b.id, "p_load", p)
+        _check_finite("bus", b.id, "q_load", q)
+        buses.append(_copy_with(b, p_load=p, q_load=q))
+    return _derived(case, buses=tuple(buses))
 
 
 def with_generation(case: GridCase, p_gen: Mapping[int, float]) -> GridCase:
-    generators = tuple(
-        replace(g, p_gen=float(p_gen.get(g.id, g.p_gen))) for g in case.generators
-    )
-    return replace(case, generators=generators)
+    """New case with the given per-generator active outputs; generators not
+    listed keep theirs."""
+    generators = []
+    for g in case.generators:
+        p = float(p_gen.get(g.id, g.p_gen))
+        _check_finite("generator", g.id, "p_gen", p)
+        _check_p_gen_range(g, p)
+        generators.append(_copy_with(g, p_gen=p))
+    return _derived(case, generators=tuple(generators))

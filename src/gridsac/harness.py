@@ -20,10 +20,10 @@ import numpy as np
 
 from .environment import (SUCCESS_LOSS_REDUCTION, DoneReason, GridControlEnv,
                           Normalizer, SnapshotStreamExhausted, extract_state,
-                          fit_normalizer)
+                          fit_normalizer, state_dim)
 from .grid_model import (CaseError, GridCase, load_case, save_case,
                          with_generation, with_loads, with_plant_setpoints)
-from .power_flow import audit_violations, solve_newton_raphson
+from .power_flow import audit_violations, compile_grid, solve_newton_raphson
 from .sac import (RunLog, SacAgent, SacConfig, SelectMode, load_checkpoint,
                   train)
 
@@ -263,9 +263,10 @@ NORMALIZER_SAMPLE = 128
 def _fit_run_normalizer(cases: list[GridCase]) -> Normalizer:
     states = []
     for case in cases[:NORMALIZER_SAMPLE]:
-        sol = solve_newton_raphson(case)
+        grid = compile_grid(case)
+        sol = solve_newton_raphson(case, grid=grid)
         if sol.converged:
-            states.append(extract_state(case, sol))
+            states.append(extract_state(case, sol, grid=grid))
     if len(states) < 2:
         raise CaseError("not enough solvable snapshots to fit the normalizer")
     return fit_normalizer(states)
@@ -296,9 +297,7 @@ def run_single(run: RunConfig, output_dir: str | Path,
     env = GridControlEnv(stream, normalizer=normalizer,
                          max_steps=run.sac.max_episode_steps)
 
-    state_dim = 2 * len(first.monitored_buses) + 2 * len(first.monitored_branches)
-    action_dim = len(first.plant_order)
-    agent = SacAgent.create(state_dim, action_dim, run.sac)
+    agent = SacAgent.create(state_dim(first), len(first.plant_order), run.sac)
 
     run_log = RunLog(metrics_path=out / "metrics.csv",
                      checkpoint_dir=out / "checkpoints")
@@ -330,11 +329,11 @@ def evaluate(checkpoint_path: str | Path,
         raise ValueError("empty snapshot set")
 
     first = cases[0]
-    state_dim = 2 * len(first.monitored_buses) + 2 * len(first.monitored_branches)
-    if state_dim != agent.state_dim or len(first.plant_order) != agent.action_dim:
+    dim = state_dim(first)
+    if dim != agent.state_dim or len(first.plant_order) != agent.action_dim:
         raise ValueError(
             f"checkpoint dimensions (state {agent.state_dim}, action {agent.action_dim}) "
-            f"do not match case (state {state_dim}, action {len(first.plant_order)})")
+            f"do not match case (state {dim}, action {len(first.plant_order)})")
 
     env = GridControlEnv(iter(cases), normalizer=normalizer,
                          max_steps=agent.config.max_episode_steps)
@@ -356,7 +355,8 @@ def evaluate(checkpoint_path: str | Path,
             break
         evaluated += 1
         episode = env.episode
-        base_report = audit_violations(episode.case, episode.base_solution)
+        base_report = audit_violations(episode.case, episode.base_solution,
+                                       grid=episode.grid)
         base_metric = base_report.delta_v_violation + base_report.delta_p_overflow
         ep_reward = 0.0
         result = None
@@ -555,8 +555,7 @@ def periodic_retrain(registry: ModelRegistry | str | Path,
     train_paths, test_paths = split_snapshots(paths, 0.8, config.random_seed)
     train_cases = [load_case(p) for p in train_paths]
     first = train_cases[0]
-    state_dim = 2 * len(first.monitored_buses) + 2 * len(first.monitored_branches)
-    if state_dim != agent.state_dim or len(first.plant_order) != agent.action_dim:
+    if state_dim(first) != agent.state_dim or len(first.plant_order) != agent.action_dim:
         raise ValueError("checkpoint dimensions incompatible with the new snapshots")
 
     retrain_index = sum(1 for e in registry.entries()

@@ -26,6 +26,8 @@ from gridsac.sac import (ReplayBuffer, SacAgent, SacConfig, SelectMode,
 from pf_oracle import gauss_seidel
 from test_neural import flat_grads, numeric_grads
 
+pytestmark = pytest.mark.acceptance
+
 CASE3 = "src/gridsac/cases/case3.json"
 CASE14 = "src/gridsac/cases/case14.json"
 

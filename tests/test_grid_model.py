@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
                                 CaseSyntaxError, Generator, GridCase, Plant,
                                 bundled_case, bundled_case_names,
                                 derive_admittance_params, parse_case, rebase,
-                                serialize_case, with_plant_setpoints)
+                                serialize_case, with_generation, with_loads,
+                                with_plant_setpoints)
 
 from conftest import make_two_bus
 
@@ -242,3 +244,77 @@ def test_rebase_scales_power_quantities(case, new_base):
         assert np.isclose(b1.p_load, b0.p_load * ratio)
     for br0, br1 in zip(case.branches, scaled.branches):
         assert np.isclose(br1.r, br0.r / ratio)
+
+
+# --- property: with_* derivations validate like construction -------------------
+
+special = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+CACHED = ("bus_order", "bus_position", "bus_by_id", "branch_by_id", "generator_by_id",
+          "plant_by_id", "plant_order", "generators_at_bus", "slack_bus")
+
+
+def _assert_same_outcome(derive, build):
+    """``derive()`` raises exactly when ``build()`` (full validation through
+    the ``GridCase`` constructor) raises, with the same class and message,
+    and otherwise returns an equal case with equal cached views."""
+    try:
+        expected = build()
+    except CaseSemanticError as exc:
+        with pytest.raises(CaseSemanticError) as got:
+            derive()
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    derived = derive()
+    assert derived == expected
+    for name in CACHED:
+        assert getattr(derived, name) == getattr(expected, name)
+
+
+def _warm(case):
+    # Fill the source's caches, so derivations carry what they may carry.
+    for name in CACHED:
+        getattr(case, name)
+    return case
+
+
+@given(grid_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_with_plant_setpoints_validates_like_construction(case, data):
+    case = _warm(case)
+    plants = data.draw(st.lists(st.sampled_from(case.plant_order), unique=True))
+    setpoints = {pid: data.draw(st.one_of(special, st.floats(0.85, 1.15)))
+                 for pid in plants}
+    _assert_same_outcome(
+        lambda: with_plant_setpoints(case, setpoints),
+        lambda: replace(case, generators=tuple(
+            replace(g, v_set=setpoints[g.plant]) if g.plant in setpoints else g
+            for g in case.generators)))
+
+
+@given(grid_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_with_loads_validates_like_construction(case, data):
+    case = _warm(case)
+    ids = [b.id for b in case.buses]
+    load = st.one_of(special, finite_load)
+    p_load = data.draw(st.dictionaries(st.sampled_from(ids), load))
+    q_load = data.draw(st.one_of(st.none(), st.dictionaries(st.sampled_from(ids), load)))
+    _assert_same_outcome(
+        lambda: with_loads(case, p_load, q_load),
+        lambda: replace(case, buses=tuple(
+            replace(b, p_load=p_load.get(b.id, b.p_load),
+                    q_load=(q_load or {}).get(b.id, b.q_load))
+            for b in case.buses)))
+
+
+@given(grid_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_with_generation_validates_like_construction(case, data):
+    case = _warm(case)
+    ids = [g.id for g in case.generators]
+    p_gen = data.draw(st.dictionaries(st.sampled_from(ids),
+                                      st.one_of(special, st.floats(-1.5, 1.5))))
+    _assert_same_outcome(
+        lambda: with_generation(case, p_gen),
+        lambda: replace(case, generators=tuple(
+            replace(g, p_gen=p_gen.get(g.id, g.p_gen)) for g in case.generators)))

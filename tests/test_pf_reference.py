@@ -1,0 +1,146 @@
+"""The vectorized power flow against the loop reference in ``pf_reference``.
+
+Seeded case14 snapshots (scaled loads and generation, jittered setpoints)
+are solved cold, then warm from that solution under random plant setpoints
+that drive many reactive-limit switches, by both implementations. Their
+control flow must agree exactly and their numbers to within rounding.
+"""
+
+import numpy as np
+import pytest
+
+from gridsac.environment import extract_state
+from gridsac.grid_model import (Branch, GridCase, with_generation, with_loads,
+                                with_plant_setpoints)
+from gridsac.harness import SnapshotGenSpec, _draw_snapshot
+from gridsac.power_flow import (SolverOptions, _jacobian, audit_violations,
+                                build_admittance, compile_grid,
+                                compute_branch_flows, solve_newton_raphson)
+
+import pf_reference as ref
+
+N_SNAPSHOTS = 200
+TOL = 1e-10
+WARM = SolverOptions(flat_start=False)
+
+
+def _snapshots(base, n, seed, **spec):
+    """Snapshots drawn as ``generate_snapshots`` draws them, each paired with
+    a random control action on it."""
+    spec = SnapshotGenSpec(base_case_path="", output_dir="", n_snapshots=n, **spec)
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        case = _draw_snapshot(base, spec, rng)
+        action = {pid: rng.uniform(0.9, 1.1) for pid in base.plant_order}
+        yield case, with_plant_setpoints(case, action)
+
+
+def _assert_same(case, new, old):
+    assert new.converged == old.converged
+    assert new.iterations == old.iterations
+    assert new.q_limit_switches == old.q_limit_switches
+    if not new.converged:
+        return
+    for got, want in ((new.v_mag, old.v_mag), (new.v_ang, old.v_ang),
+                      (new.p_gen_bus, old.p_gen_bus), (new.q_gen_bus, old.q_gen_bus),
+                      *((getattr(new.flows, k), getattr(old.flows, k))
+                        for k in ("p_from", "q_from", "p_to", "q_to", "s_from", "s_to",
+                                  "p_loss"))):
+        assert np.max(np.abs(got - want)) <= TOL
+    assert abs(new.p_loss_total - old.p_loss_total) <= TOL
+    got, want = audit_violations(case, new), ref.audit_violations(case, old)
+    assert [v[0] for v in got.voltage_violations] == [v[0] for v in want.voltage_violations]
+    assert [v[0] for v in got.thermal_violations] == [v[0] for v in want.thermal_violations]
+    assert abs(got.delta_v_violation - want.delta_v_violation) <= TOL
+    assert abs(got.delta_p_overflow - want.delta_p_overflow) <= TOL
+    assert np.max(np.abs(extract_state(case, new).values
+                         - ref.extract_state(case, old).values)) <= TOL
+
+
+def test_solutions_match_the_loop_reference(case14):
+    switched = 0
+    for snapshot, controlled in _snapshots(case14, N_SNAPSHOTS, seed=2012):
+        cold, cold_ref = solve_newton_raphson(snapshot), ref.solve_newton_raphson(snapshot)
+        _assert_same(snapshot, cold, cold_ref)
+        # The warm solve reuses one grid, as an episode does.
+        grid = compile_grid(snapshot)
+        warm = solve_newton_raphson(controlled, cold, WARM, grid=grid)
+        warm_ref = ref.solve_newton_raphson(controlled, cold_ref, WARM)
+        _assert_same(controlled, warm, warm_ref)
+        switched += bool(warm.q_limit_switches)
+    # The random setpoints exercise the reactive-limit outer loop.
+    assert switched >= N_SNAPSHOTS // 4
+
+
+def test_divergence_matches_the_loop_reference(case14):
+    # Loads of up to 2.5 times the base case push about half the snapshots
+    # past the point of collapse.
+    diverged = 0
+    for snapshot, controlled in _snapshots(case14, 40, seed=7, load_scale_low=1.0,
+                                           load_scale_high=2.5):
+        cold, cold_ref = solve_newton_raphson(snapshot), ref.solve_newton_raphson(snapshot)
+        _assert_same(snapshot, cold, cold_ref)
+        warm = solve_newton_raphson(controlled, cold, WARM)
+        _assert_same(controlled, warm, ref.solve_newton_raphson(controlled, cold_ref, WARM))
+        diverged += (not cold.converged) + (not warm.converged)
+    assert diverged >= 10
+
+
+def test_admittance_and_flows_match_the_loop_reference(case3, case14, three_bus):
+    out_of_service = GridCase(
+        base_mva=three_bus.base_mva, buses=three_bus.buses,
+        branches=tuple(b if b.id != 3 else Branch(id=3, from_bus=2, to_bus=3, r=0.03,
+                                                  x=0.10, s_max=1.5, in_service=False)
+                       for b in three_bus.branches),
+        generators=three_bus.generators, plants=three_bus.plants,
+        monitored_buses=three_bus.monitored_buses,
+        monitored_branches=three_bus.monitored_branches)
+    rng = np.random.default_rng(3)
+    for case in (case3, case14, out_of_service):
+        assert np.array_equal(build_admittance(case).entries, ref.build_admittance(case))
+        for _ in range(5):
+            vm = rng.uniform(0.9, 1.1, case.n_buses)
+            va = rng.uniform(-0.5, 0.5, case.n_buses)
+            got, want = compute_branch_flows(case, vm, va), ref.compute_branch_flows(case, vm, va)
+            for k in ("p_from", "q_from", "p_to", "q_to", "s_from", "s_to", "p_loss"):
+                assert np.max(np.abs(getattr(got, k) - getattr(want, k))) <= TOL
+
+
+def test_jacobian_matches_the_dense_reference(case14):
+    grid = compile_grid(case14)
+    rng = np.random.default_rng(11)
+    pv = np.flatnonzero(grid.is_pv)
+    pq = np.setdiff1d(np.flatnonzero(~grid.is_pv), [grid.slack])
+    pvpq = np.concatenate([pv, pq])
+    reduced = np.concatenate([pvpq, grid.n + pq])
+    for _ in range(10):
+        vm = rng.uniform(0.9, 1.1, grid.n)
+        v = vm * np.exp(1j * rng.uniform(-0.3, 0.3, grid.n))
+        got = _jacobian(grid.ybus, v, grid.ybus @ v, vm, np.ix_(reduced, reduced))
+        want = ref._jacobian(grid.ybus, v, vm, pvpq, pq)
+        assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_grid_from_another_topology_is_refused(case3, case14):
+    grid = compile_grid(case14)
+    sol = solve_newton_raphson(case14, grid=grid)
+    for call in (lambda c: solve_newton_raphson(c, grid=grid),
+                 lambda c: compute_branch_flows(c, sol.v_mag, sol.v_ang, grid=grid),
+                 lambda c: audit_violations(c, sol, grid=grid),
+                 lambda c: extract_state(c, sol, grid=grid)):
+        with pytest.raises(ValueError, match="compiled grid does not match"):
+            call(case3)
+    # Same topology, other operating data: loads and generation are compiled
+    # into the grid, so it refuses those too; setpoints it reads per solve.
+    with pytest.raises(ValueError):
+        solve_newton_raphson(with_loads(case14, {2: 0.3}), grid=grid)
+    with pytest.raises(ValueError):
+        solve_newton_raphson(with_generation(case14, {2: 0.5}), grid=grid)
+    nudged = with_plant_setpoints(case14, {pid: 1.03 for pid in case14.plant_order})
+    assert solve_newton_raphson(nudged, grid=grid).converged
+
+
+def test_compiled_grid_is_not_cached_on_the_case(case14):
+    solve_newton_raphson(case14)
+    assert not any(type(v).__name__ == "CompiledGrid" for v in vars(case14).values())
+    assert build_admittance(case14).entries.flags.writeable is False

@@ -112,7 +112,6 @@ class Normalizer:
 
     mean: np.ndarray
     scale: np.ndarray
-    frozen: bool = True
 
     def __post_init__(self):
         if np.any(self.scale <= 0):
@@ -138,7 +137,7 @@ def fit_normalizer(samples: Sequence[StateVector | np.ndarray]) -> Normalizer:
                      for s in samples])
     mean = rows.mean(axis=0)
     scale = np.maximum(rows.std(axis=0), 1e-6)
-    return Normalizer(mean=mean, scale=scale, frozen=True)
+    return Normalizer(mean=mean, scale=scale)
 
 
 def state_layout(case: GridCase) -> dict[str, tuple[int, int]]:

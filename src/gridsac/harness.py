@@ -102,7 +102,6 @@ class CampaignConfig:
     runs: list[RunConfig]
     output_dir: str
     selection_metric: SelectionMetric = SelectionMetric.SOLVED_FRACTION
-    retrain_interval: int = 2000
     split_seed: int = 0
     max_workers: int = 1
 
@@ -301,8 +300,7 @@ def run_single(run: RunConfig, output_dir: str | Path,
 
     run_log = RunLog(metrics_path=out / "metrics.csv",
                      checkpoint_dir=out / "checkpoints")
-    train(agent, env, run.sac, run_log, normalizer=normalizer,
-          episodes_per_epoch=len(train_cases))
+    train(agent, env, run.sac, run_log, normalizer=normalizer)
     checkpoint = out / "checkpoints" / "final.json"
     report = evaluate(checkpoint, test_paths)
     (out / "report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
@@ -567,8 +565,7 @@ def periodic_retrain(registry: ModelRegistry | str | Path,
     env = GridControlEnv(stream, normalizer=normalizer,
                          max_steps=config.max_episode_steps)
     run_log = RunLog(metrics_path=out / "metrics.csv", checkpoint_dir=out / "checkpoints")
-    train(agent, env, config, run_log, normalizer=normalizer,
-          episodes_per_epoch=len(train_cases))
+    train(agent, env, config, run_log, normalizer=normalizer)
     checkpoint = out / "checkpoints" / "final.json"
     report = evaluate(checkpoint, test_paths)
     (out / "report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
@@ -592,7 +589,7 @@ def run_config_from_file(path: str | Path) -> RunConfig:
 
 
 def _run_config(doc: dict) -> RunConfig:
-    sac = SacConfig(**doc.get("sac", {}))
+    sac = SacConfig.from_dict(doc.get("sac", {}))
     return RunConfig(run_id=doc["run_id"], sac=sac, case_path=doc["case_path"],
                      snapshot_dir=doc["snapshot_dir"],
                      train_fraction=doc.get("train_fraction", 0.8),
@@ -606,7 +603,6 @@ def campaign_config_from_file(path: str | Path) -> CampaignConfig:
         runs=runs,
         output_dir=doc["output_dir"],
         selection_metric=SelectionMetric(doc.get("selection_metric", "SolvedFraction")),
-        retrain_interval=doc.get("retrain_interval", 2000),
         split_seed=doc.get("split_seed", 0),
         max_workers=doc.get("max_workers", 1),
     )

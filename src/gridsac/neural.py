@@ -3,10 +3,17 @@
 Just enough machinery for the policy and critic networks: fully connected
 layers, ReLU hidden activations, a linear output, reverse-mode gradients
 through a forward tape, and in-place Adam updates. No general autodiff.
+
+Each network keeps all its parameters in one flat float64 vector, laid out
+as the checkpoint stores them (per layer: row-major weights, then biases);
+the per-layer weight and bias arrays are views into it. Gradients and Adam
+moments use the same layout, so Adam, Polyak averaging, the finite-gradient
+check and (de)serialization are each one vector operation.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -30,17 +37,52 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(layer_dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, int], int], ...]:
+    """Per layer: weight start, weight end (= bias start), weight shape, bias
+    end, in the flat layout (row-major weights, then biases, layer by layer).
+    Cached because backward() builds gradient views on every call; the result
+    is immutable."""
+    spans = []
+    k = 0
+    for n_in, n_out in zip(layer_dims[:-1], layer_dims[1:]):
+        spans.append((k, k + n_in * n_out, (n_in, n_out), k + (n_in + 1) * n_out))
+        k += (n_in + 1) * n_out
+    return tuple(spans)
+
+
+def _layer_views(layer_dims: tuple[int, ...], flat: np.ndarray):
+    """Per-layer (weights, biases) views into a flat parameter vector."""
+    spans = _layout(layer_dims)
+    if not spans or flat.ndim != 1 or flat.size != spans[-1][3]:
+        raise ValueError(f"flat parameter vector of shape {flat.shape} "
+                         f"does not fit layer dims {layer_dims}")
+    weights = []
+    biases = []
+    for w0, b0, shape, b1 in spans:
+        weights.append(flat[w0:b0].reshape(shape))
+        biases.append(flat[b0:b1])
+    return weights, biases
+
+
 @dataclass
 class DenseNetwork:
-    """ReLU MLP parameters. ``weights[l]`` has shape (fan_in, fan_out)."""
+    """ReLU MLP parameters, all in the one flat vector ``params``.
+
+    ``weights[l]`` (shape (fan_in, fan_out)) and ``biases[l]`` are views into
+    ``params``, built once here; writes through either side show in the other.
+    """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+
+    def __post_init__(self):
+        self.layer_dims = tuple(int(d) for d in self.layer_dims)
+        self.weights, self.biases = _layer_views(self.layer_dims, self.params)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
 
 @dataclass
@@ -53,15 +95,19 @@ class ForwardTape:
 
 @dataclass
 class GradientSet:
-    """Parameter gradients plus the gradient w.r.t. the network input."""
+    """Parameter gradients in the network's flat layout (``d_weights[l]`` and
+    ``d_biases[l]`` are views into ``d_params``), plus the gradient w.r.t.
+    the network input."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    d_input: np.ndarray
+    layer_dims: tuple[int, ...]
+    d_params: np.ndarray
+    d_input: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.d_weights, self.d_biases = _layer_views(self.layer_dims, self.d_params)
 
     def finite(self) -> bool:
-        return (all(np.all(np.isfinite(w)) for w in self.d_weights)
-                and all(np.all(np.isfinite(b)) for b in self.d_biases))
+        return bool(np.isfinite(self.d_params).all())
 
 
 def init_network(layer_dims: tuple[int, ...] | list[int],
@@ -75,15 +121,13 @@ def init_network(layer_dims: tuple[int, ...] | list[int],
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ValueError(f"bad layer dims {dims}")
-    weights = []
-    biases = []
-    for l, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
-        limit = 1.0 / np.sqrt(n_in)
-        if final_scale is not None and l == len(dims) - 2:
+    net = DenseNetwork(layer_dims=dims, params=np.zeros(_layout(dims)[-1][3]))
+    for l, w in enumerate(net.weights):
+        limit = 1.0 / np.sqrt(w.shape[0])
+        if final_scale is not None and l == net.n_layers - 1:
             limit = final_scale
-        weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
-        biases.append(np.zeros(n_out))
-    return DenseNetwork(layer_dims=dims, weights=weights, biases=biases)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def forward(net: DenseNetwork, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
@@ -124,27 +168,25 @@ def backward(net: DenseNetwork, tape: ForwardTape, output_grad: np.ndarray) -> G
     if g.shape != tape.pre_activations[-1].shape:
         raise ValueError(
             f"output_grad shape {g.shape} != forward output {tape.pre_activations[-1].shape}")
-    d_weights: list[np.ndarray] = [None] * net.n_layers
-    d_biases: list[np.ndarray] = [None] * net.n_layers
+    grads = GradientSet(net.layer_dims, np.empty_like(net.params))
     for l in range(net.n_layers - 1, -1, -1):
         if l != net.n_layers - 1:
-            g = g * (tape.pre_activations[l] > 0.0)
-        d_weights[l] = tape.inputs[l].T @ g
-        d_biases[l] = g.sum(axis=0)
+            g *= tape.pre_activations[l] > 0.0  # g is this pass's own array here
+        np.matmul(tape.inputs[l].T, g, out=grads.d_weights[l])
+        g.sum(axis=0, out=grads.d_biases[l])
         g = g @ net.weights[l].T
-    d_input = g[0] if single else g
-    return GradientSet(d_weights=d_weights, d_biases=d_biases, d_input=d_input)
+    grads.d_input = g[0] if single else g
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter for one network."""
+    """First/second moment accumulators (flat, in the network's parameter
+    layout) and step counter for one network."""
 
     learning_rate: float
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -152,13 +194,8 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: DenseNetwork, learning_rate: float) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m_weights=[np.zeros_like(w) for w in net.weights],
-            v_weights=[np.zeros_like(w) for w in net.weights],
-            m_biases=[np.zeros_like(b) for b in net.biases],
-            v_biases=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls(learning_rate=learning_rate,
+                   m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def adam_step(net: DenseNetwork, grads: GradientSet, state: AdamState) -> tuple[DenseNetwork, AdamState]:
@@ -173,16 +210,12 @@ def adam_step(net: DenseNetwork, grads: GradientSet, state: AdamState) -> tuple[
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for params, g_list, m_list, v_list in (
-        (net.weights, grads.d_weights, state.m_weights, state.v_weights),
-        (net.biases, grads.d_biases, state.m_biases, state.v_biases),
-    ):
-        for p, g, m, v in zip(params, g_list, m_list, v_list):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * np.square(g)
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    g, m, v = grads.d_params, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * np.square(g)
+    net.params -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return net, state
 
 
@@ -197,41 +230,20 @@ def polyak_update(target: DenseNetwork, source: DenseNetwork, polyak: float) -> 
         raise ValueError("polyak must be in [0, 1]")
     if target.layer_dims != source.layer_dims:
         raise ValueError("network shapes differ")
-    for tw, sw in zip(target.weights, source.weights):
-        tw *= polyak
-        tw += (1.0 - polyak) * sw
-    for tb, sb in zip(target.biases, source.biases):
-        tb *= polyak
-        tb += (1.0 - polyak) * sb
+    target.params *= polyak
+    target.params += (1.0 - polyak) * source.params
     return target
 
 
 def copy_network(net: DenseNetwork) -> DenseNetwork:
-    return DenseNetwork(layer_dims=net.layer_dims,
-                        weights=[w.copy() for w in net.weights],
-                        biases=[b.copy() for b in net.biases])
+    return DenseNetwork(layer_dims=net.layer_dims, params=net.params.copy())
 
 
 def network_to_flat(net: DenseNetwork) -> np.ndarray:
     """All parameters as one row-major flat vector (weights then bias, per layer)."""
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.reshape(-1))
-        parts.append(b)
-    return np.concatenate(parts)
+    return net.params.copy()
 
 
 def network_from_flat(layer_dims: tuple[int, ...] | list[int], flat: np.ndarray) -> DenseNetwork:
-    dims = tuple(int(d) for d in layer_dims)
-    flat = np.asarray(flat, dtype=float)
-    weights = []
-    biases = []
-    k = 0
-    for n_in, n_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[k:k + n_in * n_out].reshape(n_in, n_out).copy())
-        k += n_in * n_out
-        biases.append(flat[k:k + n_out].copy())
-        k += n_out
-    if k != flat.size:
-        raise ValueError(f"flat parameter vector has {flat.size} values, expected {k}")
-    return DenseNetwork(layer_dims=dims, weights=weights, biases=biases)
+    """A network owning a float64 copy of ``flat``; its length must match ``layer_dims``."""
+    return DenseNetwork(layer_dims=layer_dims, params=np.array(flat, dtype=float))

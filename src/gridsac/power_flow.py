@@ -39,7 +39,6 @@ __all__ = [
     "compile_grid",
     "solve_newton_raphson",
     "compute_branch_flows",
-    "enforce_q_limits",
     "audit_violations",
 ]
 
@@ -452,21 +451,6 @@ def _q_limit_violations(grid: CompiledGrid, sol, pinned) -> dict[int, QLimitSwit
                                  "max" if over[i] else "min",
                                  float(grid.q_max_bus[i] if over[i] else grid.q_min_bus[i]))
             for i in np.flatnonzero(over | under)}
-
-
-def enforce_q_limits(case: GridCase, solution: PowerFlowSolution,
-                     opts: SolverOptions = SolverOptions()) -> tuple[tuple[QLimitSwitch, ...], PowerFlowSolution]:
-    """Resolve generator reactive limits on an already-solved case.
-
-    Returns the PV-to-PQ switches applied (possibly none) and the re-solved
-    solution; with no violations the input solution is returned unchanged.
-    """
-    grid = compile_grid(case)
-    if not solution.converged or not _q_limit_violations(grid, solution, {}):
-        return solution.q_limit_switches, solution
-    resolved = solve_newton_raphson(
-        case, solution, replace(opts, enforce_q_limits=True, flat_start=False), grid=grid)
-    return resolved.q_limit_switches, resolved
 
 
 def compute_branch_flows(case: GridCase, v_mag: np.ndarray, v_ang: np.ndarray, *,

@@ -77,11 +77,6 @@ class SacConfig:
     updates_per_step: int = 1
     n_episodes: int | None = None
     target_entropy: float | None = None  # default: -action_dim
-    # Exposed but inert: maximum-entropy cap with no defined role.
-    entropy_max: float = 0.001
-    # Optional multiplicative learning-rate decay applied at epoch boundaries.
-    lr_decay_rate: float = 0.15
-    lr_decay_enabled: bool = False
 
     def __post_init__(self):
         _check_range("batch_size", self.batch_size, 32, 200)
@@ -103,6 +98,18 @@ class SacConfig:
             raise ValueError("start_steps must be >= batch_size")
         if self.updates_per_step < 1:
             raise ValueError("updates_per_step must be >= 1")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SacConfig":
+        """Config from a JSON object. Keys of knobs that were removed are
+        dropped, so configs and checkpoints written before still load; one
+        that had learning-rate decay switched on is refused."""
+        doc = dict(doc)
+        if doc.pop("lr_decay_enabled", False):
+            raise ValueError("learning-rate decay (lr_decay_enabled) is no longer supported")
+        for key in ("entropy_max", "lr_decay_rate"):
+            doc.pop(key, None)
+        return cls(**doc)
 
 
 def _check_range(name, value, lo, hi):
@@ -416,10 +423,6 @@ class SacAgent:
                            policy_loss=policy_loss, alpha_loss=alpha_loss,
                            alpha=self.alpha)
 
-    def decay_learning_rates(self, factor: float) -> None:
-        for opt in (self.policy_opt, self.q1_opt, self.q2_opt, self.alpha_opt):
-            opt.learning_rate *= factor
-
 
 # --- training loop ---------------------------------------------------------
 
@@ -470,8 +473,7 @@ class RunLog:
 
 def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
           run_log: RunLog | None = None,
-          normalizer: Normalizer | None = None,
-          episodes_per_epoch: int | None = None) -> list[EpisodeMetrics]:
+          normalizer: Normalizer | None = None) -> list[EpisodeMetrics]:
     """Run episodes against ``env`` until its snapshot stream is exhausted or
     ``config.n_episodes`` is reached.
 
@@ -540,9 +542,6 @@ def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
                     and episode % run_log.checkpoint_every == 0):
                 save_checkpoint(run_log.checkpoint_dir / f"ep{episode:06d}.json",
                                 agent, normalizer or env.normalizer)
-            if (config.lr_decay_enabled and episodes_per_epoch
-                    and episode % episodes_per_epoch == 0):
-                agent.decay_learning_rates(1.0 - config.lr_decay_rate)
     finally:
         if fh is not None:
             fh.close()
@@ -586,8 +585,8 @@ def load_checkpoint(path: str | Path) -> tuple[SacAgent, Normalizer]:
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    config = SacConfig(**doc["config"])
-    nets = {name: network_from_flat(spec["layer_dims"], np.array(spec["values"]))
+    config = SacConfig.from_dict(doc["config"])
+    nets = {name: network_from_flat(spec["layer_dims"], spec["values"])
             for name, spec in doc["networks"].items()}
     agent = SacAgent(policy=nets["policy"], q1=nets["q1"], q2=nets["q2"],
                      q1_target=nets["q1_target"], q2_target=nets["q2_target"],

@@ -6,6 +6,7 @@ import pytest
 
 from gridsac.cli import main
 from gridsac.grid_model import bundled_case, serialize_case, with_loads
+from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
 CASE3 = "src/gridsac/cases/case3.json"
 
@@ -118,6 +119,16 @@ def test_train_evaluate_retrain_pipeline(tmp_path, capsys):
 
 def test_evaluate_missing_checkpoint(tmp_path):
     assert main(["evaluate", str(tmp_path / "none.json"), "snaps"]) == 2
+
+
+def test_evaluate_refuses_checkpoint_trained_with_lr_decay(tmp_path, capsys):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, SacAgent.create(4, 2, SacConfig()), None)
+    doc = json.loads(path.read_text())
+    doc["config"]["lr_decay_enabled"] = True
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", str(path), "snaps"]) == 2
+    assert "lr_decay_enabled" in capsys.readouterr().err
 
 
 def test_campaign_all_failures_numerical_exit(tmp_path):

@@ -172,7 +172,6 @@ def test_fit_normalizer_standardizes_fitting_set():
     norm = fit_normalizer(samples)
     transformed = np.stack([norm.transform(s) for s in samples])
     assert np.max(np.abs(transformed.mean(axis=0))) < 1e-9
-    assert norm.frozen
 
 
 def test_fit_normalizer_needs_two_samples():

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsac.neural import (AdamState, DenseNetwork, GradientSet, adam_step,
+from gridsac.neural import (AdamState, GradientSet, adam_step,
                             backward, copy_network, forward, init_network,
                             network_from_flat, network_to_flat, polyak_update)
 
 
 def flat_grads(grads: GradientSet) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.reshape(-1), b])
-                           for w, b in zip(grads.d_weights, grads.d_biases)])
+    return grads.d_params.copy()
 
 
 def numeric_grads(net, x, weights, h=1e-5):
@@ -43,7 +42,7 @@ def test_zero_network_maps_to_zero():
 
 
 def test_identity_single_layer():
-    net = DenseNetwork(layer_dims=(3, 3), weights=[np.eye(3)], biases=[np.zeros(3)])
+    net = network_from_flat((3, 3), np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
     x = np.array([0.5, -1.0, 2.0])
     y, _ = forward(net, x)
     assert np.array_equal(y, x)
@@ -141,8 +140,7 @@ def test_input_gradient_matches_finite_differences():
 # --- Adam ------------------------------------------------------------------------
 
 def zero_grads(net) -> GradientSet:
-    return GradientSet(d_weights=[np.zeros_like(w) for w in net.weights],
-                       d_biases=[np.zeros_like(b) for b in net.biases],
+    return GradientSet(net.layer_dims, np.zeros_like(net.params),
                        d_input=np.zeros(net.layer_dims[0]))
 
 
@@ -158,11 +156,9 @@ def test_adam_zero_gradient_is_parameter_noop():
 
 
 def test_adam_descends_against_constant_gradient():
-    net = DenseNetwork(layer_dims=(1, 1), weights=[np.array([[0.0]])],
-                       biases=[np.array([0.0])])
+    net = network_from_flat((1, 1), [0.0, 0.0])
     state = AdamState.for_network(net, learning_rate=1e-2)
-    g = GradientSet(d_weights=[np.array([[2.5]])], d_biases=[np.array([0.0])],
-                    d_input=np.zeros(1))
+    g = GradientSet((1, 1), np.array([2.5, 0.0]), d_input=np.zeros(1))
     for _ in range(100):
         adam_step(net, g, state)
     assert net.weights[0][0, 0] < 0.0  # moved opposite the gradient sign
@@ -172,11 +168,9 @@ def test_adam_descends_against_constant_gradient():
 def test_adam_first_step_magnitude_is_learning_rate(g):
     # bias correction makes the first update lr * g / (|g| + eps)
     lr = 3e-4
-    net = DenseNetwork(layer_dims=(1, 1), weights=[np.array([[1.0]])],
-                       biases=[np.array([0.0])])
+    net = network_from_flat((1, 1), [1.0, 0.0])
     state = AdamState.for_network(net, learning_rate=lr)
-    grads = GradientSet(d_weights=[np.array([[g]])], d_biases=[np.array([0.0])],
-                        d_input=np.zeros(1))
+    grads = GradientSet((1, 1), np.array([g, 0.0]), d_input=np.zeros(1))
     adam_step(net, grads, state)
     expected = lr * g / (abs(g) + state.eps)
     assert 1.0 - net.weights[0][0, 0] == pytest.approx(expected, rel=1e-9)
@@ -218,8 +212,8 @@ def test_polyak_zero_copies_source():
 
 
 def test_polyak_midpoint_scalar():
-    target = DenseNetwork((1, 1), [np.array([[0.0]])], [np.array([0.0])])
-    source = DenseNetwork((1, 1), [np.array([[2.0]])], [np.array([0.0])])
+    target = network_from_flat((1, 1), [0.0, 0.0])
+    source = network_from_flat((1, 1), [2.0, 0.0])
     polyak_update(target, source, 0.5)
     assert target.weights[0][0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -252,3 +246,40 @@ def test_copy_network_is_deep():
     clone = copy_network(net)
     clone.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != clone.weights[0][0, 0]
+
+
+# --- flat parameter layout -----------------------------------------------------
+
+def test_layer_arrays_are_views_of_the_flat_vector():
+    rng = np.random.default_rng(12)
+    net = init_network((4, 6, 6, 2), rng)
+    _, tape = forward(net, rng.normal(size=(5, 4)))
+    grads = backward(net, tape, rng.normal(size=(5, 2)))
+    for flat, weights, biases in ((net.params, net.weights, net.biases),
+                                  (grads.d_params, grads.d_weights, grads.d_biases)):
+        assert len(weights) == len(biases) == 3
+        for w, b in zip(weights, biases):
+            assert np.shares_memory(flat, w)
+            assert np.shares_memory(flat, b)
+
+
+def test_write_through_bias_view_shows_in_flat():
+    net = init_network((3, 5, 2), np.random.default_rng(13))
+    net.biases[-1][:] = [7.0, -7.0]
+    assert np.array_equal(net.params[-2:], [7.0, -7.0])
+    assert np.array_equal(network_to_flat(net)[-2:], [7.0, -7.0])
+
+
+def test_adam_moments_are_flat():
+    net = init_network((3, 5, 2), np.random.default_rng(14))
+    state = AdamState.for_network(net, learning_rate=1e-3)
+    assert state.m.shape == state.v.shape == net.params.shape
+
+
+def test_network_from_flat_copies_its_input():
+    flat = np.arange(9, dtype=float)
+    net = network_from_flat((2, 2, 1), flat)
+    net.params[0] = 99.0
+    assert flat[0] == 0.0
+    with pytest.raises(ValueError):
+        network_from_flat((1, 1), np.zeros((1, 2)))

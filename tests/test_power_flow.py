@@ -7,8 +7,7 @@ from gridsac.grid_model import (Branch, Bus, BusKind, GridCase,
                                 with_plant_setpoints)
 from gridsac.power_flow import (PowerFlowSolution, SolverOptions,
                                 audit_violations, build_admittance,
-                                compute_branch_flows, enforce_q_limits,
-                                solve_newton_raphson)
+                                compute_branch_flows, solve_newton_raphson)
 
 from conftest import make_three_bus, make_two_bus
 from pf_oracle import gauss_seidel
@@ -244,19 +243,11 @@ def test_all_pq_case_is_untouched_by_enforcement(two_bus):
     assert np.array_equal(with_limits.v_mag, without.v_mag)
 
 
-def test_enforce_q_limits_is_identity_when_inactive():
-    case = make_three_bus(q_max_2=1.0)
-    sol = solve_newton_raphson(case, opts=SolverOptions(enforce_q_limits=False))
-    switches, resolved = enforce_q_limits(case, sol)
-    assert switches == ()
-    assert resolved is sol
-
-
 def test_enforce_q_limits_resolves_violation():
     case = make_three_bus(q_max_2=0.0)
     naive = solve_newton_raphson(case, opts=SolverOptions(enforce_q_limits=False))
-    switches, resolved = enforce_q_limits(case, naive)
-    assert [s.bus for s in switches] == [2]
+    resolved = solve_newton_raphson(case, naive, SolverOptions(flat_start=False))
+    assert [s.bus for s in resolved.q_limit_switches] == [2]
     assert resolved.converged
     assert resolved.q_gen_bus[case.bus_position[2]] == pytest.approx(0.0, abs=1e-8)
 

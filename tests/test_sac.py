@@ -1,8 +1,10 @@
 """Agent mechanics: replay, policy sampling, targets, updates, training."""
 
 import copy
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,9 +414,44 @@ def test_checkpoint_version_guard(tmp_path):
     agent = make_agent()
     path = tmp_path / "ck.json"
     save_checkpoint(path, agent, None)
-    import json
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+LEGACY_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "data" / "control_case14.json")
+
+
+def test_checkpoint_with_retired_config_keys_loads():
+    # written while entropy_max and lr_decay_* were still config fields
+    raw = json.loads(LEGACY_CHECKPOINT.read_text())["config"]
+    assert {"entropy_max", "lr_decay_rate", "lr_decay_enabled"} <= raw.keys()
+    agent, _ = load_checkpoint(LEGACY_CHECKPOINT)
+    again, _ = load_checkpoint(LEGACY_CHECKPOINT)
+    state = np.linspace(-1.0, 1.0, agent.state_dim)
+    a = agent.select_action(state, SelectMode.DETERMINISTIC).v_set_per_plant
+    assert np.all(np.isfinite(a))
+    assert np.array_equal(a, again.select_action(state, SelectMode.DETERMINISTIC).v_set_per_plant)
+
+
+def _checkpoint_with_config(tmp_path, **config_keys):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, make_agent(), None)
+    doc = json.loads(path.read_text())
+    doc["config"].update(config_keys)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_checkpoint_trained_with_lr_decay_is_refused(tmp_path):
+    path = _checkpoint_with_config(tmp_path, lr_decay_rate=0.15, lr_decay_enabled=True)
+    with pytest.raises(ValueError, match="lr_decay_enabled"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_unknown_config_key_is_refused(tmp_path):
+    with pytest.raises(TypeError):
+        load_checkpoint(_checkpoint_with_config(tmp_path, entropy_cap=0.1))

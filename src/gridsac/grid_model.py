@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -494,6 +495,23 @@ def load_case(path: str | Path) -> GridCase:
 
 def save_case(case: GridCase, path: str | Path) -> None:
     Path(path).write_text(serialize_case(case))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling ``*.tmp`` file, flush and fsync it, then
+    rename it over ``path``: a crash leaves the old file or the new one,
+    never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def bundled_case_names() -> tuple[str, ...]:

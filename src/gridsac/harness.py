@@ -3,7 +3,11 @@ best-model selection, evaluation reports, and periodic retraining.
 
 Runs share nothing but the read-only case file and snapshot directory; each
 writes its own metrics and checkpoints under the campaign output directory,
-and a registry keeps every produced model with its evaluation report.
+and a registry keeps every produced model with its evaluation report. A
+campaign run and a retrain share one train -> evaluate -> report sequence
+(``_train_and_report``) and one ranking rule (``_selection_key``, under the
+selection metric the registry records); a retrain scores the incumbent and
+its challenger on the same held-out split of the new snapshots.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +27,8 @@ from .environment import (SUCCESS_LOSS_REDUCTION, DoneReason, GridControlEnv,
                           Normalizer, SnapshotStreamExhausted, extract_state,
                           fit_normalizer, state_dim)
 from .grid_model import (CaseError, GridCase, load_case, save_case,
-                         with_generation, with_loads, with_plant_setpoints)
+                         with_generation, with_loads, with_plant_setpoints,
+                         write_text_atomic)
 from .power_flow import audit_violations, compile_grid, solve_newton_raphson
 from .sac import (RunLog, SacAgent, SacConfig, SelectMode, load_checkpoint,
                   train)
@@ -35,7 +41,6 @@ __all__ = [
     "CampaignConfig",
     "SelectionMetric",
     "EvaluationReport",
-    "RunResult",
     "RegistryEntry",
     "ModelRegistry",
     "CampaignError",
@@ -57,6 +62,9 @@ class CampaignError(Exception):
 class SelectionMetric(str, enum.Enum):
     MEAN_TEST_REWARD = "MeanTestReward"
     SOLVED_FRACTION = "SolvedFraction"
+
+
+TRAIN_FRACTION = 0.8    # default share of the snapshots a run trains on
 
 
 @dataclass
@@ -89,7 +97,7 @@ class RunConfig:
     sac: SacConfig
     case_path: str
     snapshot_dir: str
-    train_fraction: float = 0.8
+    train_fraction: float = TRAIN_FRACTION
     seed: int = 0
 
     def __post_init__(self):
@@ -137,14 +145,6 @@ class EvaluationReport:
     max_latency_s: float
     p95_latency_s: float
     skipped_snapshots: int = 0
-
-
-@dataclass
-class RunResult:
-    run_id: str
-    checkpoint_path: str
-    metrics_path: str
-    report: EvaluationReport
 
 
 @dataclass
@@ -273,11 +273,9 @@ def _fit_run_normalizer(cases: list[GridCase]) -> Normalizer:
 
 def run_single(run: RunConfig, output_dir: str | Path,
                train_paths: list[Path] | None = None,
-               test_paths: list[Path] | None = None) -> RunResult:
+               test_paths: list[Path] | None = None) -> RegistryEntry:
     """Train one agent on the run's train split and evaluate it on the test
-    split. Layout: <output_dir>/<run_id>/{metrics.csv, checkpoints/}."""
-    out = Path(output_dir) / run.run_id
-    out.mkdir(parents=True, exist_ok=True)
+    split. Layout: <output_dir>/<run_id>/{metrics.csv, checkpoints/, report.json}."""
     if train_paths is None or test_paths is None:
         train_paths, test_paths = split_snapshots(
             snapshot_paths(run.snapshot_dir), run.train_fraction, run.seed)
@@ -292,20 +290,30 @@ def run_single(run: RunConfig, output_dir: str | Path,
             f"run {run.run_id}: snapshots in {run.snapshot_dir} do not match "
             f"the grid described by {run.case_path}")
     normalizer = _fit_run_normalizer(train_cases)
-    stream = _training_stream(train_cases, run.sac.n_epochs, run.seed)
-    env = GridControlEnv(stream, normalizer=normalizer,
-                         max_steps=run.sac.max_episode_steps)
-
     agent = SacAgent.create(state_dim(first), len(first.plant_order), run.sac)
+    return _train_and_report(agent, normalizer, train_cases, test_paths,
+                             Path(output_dir) / run.run_id, run.run_id, run.seed)
 
+
+def _train_and_report(agent: SacAgent, normalizer: Normalizer,
+                      train_cases: list[GridCase], test_paths: list[Path],
+                      out: Path, run_id: str, seed: int) -> RegistryEntry:
+    """Train ``agent`` under its own config on a ``seed``-shuffled stream of
+    ``train_cases``, evaluate the final checkpoint on ``test_paths`` and
+    write ``<out>/report.json``."""
+    out.mkdir(parents=True, exist_ok=True)
+    config = agent.config
+    stream = _training_stream(train_cases, config.n_epochs, seed)
+    env = GridControlEnv(stream, normalizer=normalizer,
+                         max_steps=config.max_episode_steps)
     run_log = RunLog(metrics_path=out / "metrics.csv",
                      checkpoint_dir=out / "checkpoints")
-    train(agent, env, run.sac, run_log, normalizer=normalizer)
+    train(agent, env, config, run_log, normalizer=normalizer)
     checkpoint = out / "checkpoints" / "final.json"
     report = evaluate(checkpoint, test_paths)
-    (out / "report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
-    return RunResult(run_id=run.run_id, checkpoint_path=str(checkpoint),
-                     metrics_path=str(out / "metrics.csv"), report=report)
+    write_text_atomic(out / "report.json", json.dumps(asdict(report), indent=2) + "\n")
+    return RegistryEntry(run_id=run_id, checkpoint_path=str(checkpoint),
+                         metrics_path=str(out / "metrics.csv"), report=report)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -411,19 +419,13 @@ def evaluate(checkpoint_path: str | Path,
 
 # --- campaign ----------------------------------------------------------------
 
-def _selection_key(metric: SelectionMetric, result: RunResult):
-    primary = (result.report.valid_control_fraction
+def _selection_key(metric: SelectionMetric, entry: RegistryEntry):
+    """Sort key of the best-model rule; the smallest key is the best model."""
+    primary = (entry.report.valid_control_fraction
                if metric is SelectionMetric.SOLVED_FRACTION
-               else result.report.mean_episode_reward)
+               else entry.report.mean_episode_reward)
     # Higher metric, then higher loss reduction, then lexically lower run id.
-    return (-primary, -result.report.mean_loss_reduction_pct, result.run_id)
-
-
-def _execute_run(run: RunConfig, output_dir: str,
-                 train_paths: list[str], test_paths: list[str]) -> RunResult:
-    return run_single(run, output_dir,
-                      [Path(p) for p in train_paths],
-                      [Path(p) for p in test_paths])
+    return (-primary, -entry.report.mean_loss_reduction_pct, entry.run_id)
 
 
 def run_campaign(config: CampaignConfig) -> RegistryEntry:
@@ -442,40 +444,32 @@ def run_campaign(config: CampaignConfig) -> RegistryEntry:
     train_paths, test_paths = split_snapshots(
         paths, config.runs[0].train_fraction, config.split_seed)
 
-    results: list[RunResult] = []
+    results: list[RegistryEntry] = []
     failures: dict[str, str] = {}
     if config.max_workers > 1:
         with ProcessPoolExecutor(max_workers=config.max_workers) as pool:
-            futures = {
-                run.run_id: pool.submit(_execute_run, run, str(out),
-                                        [str(p) for p in train_paths],
-                                        [str(p) for p in test_paths])
-                for run in config.runs
-            }
-            for run_id, fut in futures.items():
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures[run_id] = repr(exc)
-                    logger.error("run %s failed: %r", run_id, exc)
+            futures = {run.run_id: pool.submit(run_single, run, out, train_paths, test_paths)
+                       for run in config.runs}
+        calls = [(run_id, fut.result) for run_id, fut in futures.items()]
     else:
-        for run in config.runs:
-            try:
-                results.append(run_single(run, out, train_paths, test_paths))
-            except Exception as exc:
-                failures[run.run_id] = repr(exc)
-                logger.error("run %s failed: %r", run.run_id, exc)
+        calls = [(run.run_id, partial(run_single, run, out, train_paths, test_paths))
+                 for run in config.runs]
+    for run_id, call in calls:
+        try:
+            results.append(call())
+        except Exception as exc:
+            failures[run_id] = repr(exc)
+            logger.error("run %s failed: %r", run_id, exc)
 
     if not results:
         raise CampaignError(f"all runs failed: {failures}")
 
     results.sort(key=lambda r: _selection_key(config.selection_metric, r))
     registry = ModelRegistry(out / "registry")
+    registry.selection_metric = config.selection_metric
     for r in results:
-        registry.add(RegistryEntry(run_id=r.run_id, checkpoint_path=r.checkpoint_path,
-                                   metrics_path=r.metrics_path, report=r.report))
-    best = results[0]
-    registry.set_best(best.run_id)
+        registry.add(r)
+    registry.set_best(results[0].run_id)
     return registry.best()
 
 
@@ -483,7 +477,8 @@ def run_campaign(config: CampaignConfig) -> RegistryEntry:
 
 class ModelRegistry:
     """Directory-backed model index. Entries are only ever added; superseded
-    checkpoints stay on disk with their reports."""
+    checkpoints stay on disk with their reports. ``registry.json`` also
+    records the selection metric that ranks its models."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -495,7 +490,18 @@ class ModelRegistry:
             self._doc = {"best_run_id": None, "entries": []}
 
     def _save(self) -> None:
-        self._path.write_text(json.dumps(self._doc, indent=2) + "\n")
+        write_text_atomic(self._path, json.dumps(self._doc, indent=2) + "\n")
+
+    @property
+    def selection_metric(self) -> SelectionMetric:
+        """A registry written without one ranks by SolvedFraction."""
+        return SelectionMetric(self._doc.get("selection_metric",
+                                             SelectionMetric.SOLVED_FRACTION.value))
+
+    @selection_metric.setter
+    def selection_metric(self, metric: SelectionMetric) -> None:
+        self._doc["selection_metric"] = SelectionMetric(metric).value
+        self._save()
 
     def add(self, entry: RegistryEntry) -> None:
         if any(e["run_id"] == entry.run_id for e in self._doc["entries"]):
@@ -538,46 +544,33 @@ def periodic_retrain(registry: ModelRegistry | str | Path,
                      new_snapshot_dir: str | Path,
                      sac_overrides: dict | None = None) -> RegistryEntry:
     """Warm-start a new run from the registry's best checkpoint on fresh
-    snapshots; the best pointer moves only if the selection metric improves.
+    snapshots. Incumbent and challenger are both scored on the same held-out
+    split of those snapshots and ranked by the registry's selection metric;
+    the best pointer moves only if the challenger ranks first. The rescored
+    incumbent is not written back.
     """
     if not isinstance(registry, ModelRegistry):
         registry = ModelRegistry(registry)
     best = registry.best()
     agent, normalizer = load_checkpoint(best.checkpoint_path)
-    config = agent.config
     if sac_overrides:
-        config = SacConfig(**{**asdict(config), **sac_overrides})
-        agent.config = config
-
-    paths = snapshot_paths(new_snapshot_dir)
-    train_paths, test_paths = split_snapshots(paths, 0.8, config.random_seed)
-    train_cases = [load_case(p) for p in train_paths]
-    first = train_cases[0]
-    if state_dim(first) != agent.state_dim or len(first.plant_order) != agent.action_dim:
-        raise ValueError("checkpoint dimensions incompatible with the new snapshots")
+        agent.config = SacConfig.from_dict({**asdict(agent.config), **sac_overrides})
+    seed = agent.config.random_seed
+    train_paths, test_paths = split_snapshots(
+        snapshot_paths(new_snapshot_dir), TRAIN_FRACTION, seed)
+    incumbent = replace(best, report=evaluate(best.checkpoint_path, test_paths))
 
     retrain_index = sum(1 for e in registry.entries()
                         if e.run_id.startswith(best.run_id + "-retrain")) + 1
     run_id = f"{best.run_id}-retrain{retrain_index:02d}"
-    out = registry.root / run_id
-    out.mkdir(parents=True, exist_ok=True)
-    stream = _training_stream(train_cases, config.n_epochs, config.random_seed)
-    env = GridControlEnv(stream, normalizer=normalizer,
-                         max_steps=config.max_episode_steps)
-    run_log = RunLog(metrics_path=out / "metrics.csv", checkpoint_dir=out / "checkpoints")
-    train(agent, env, config, run_log, normalizer=normalizer)
-    checkpoint = out / "checkpoints" / "final.json"
-    report = evaluate(checkpoint, test_paths)
-    (out / "report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
-    entry = RegistryEntry(run_id=run_id, checkpoint_path=str(checkpoint),
-                          metrics_path=str(out / "metrics.csv"), report=report)
-    registry.add(entry)
-
-    old_metric = best.report.valid_control_fraction
-    new_metric = report.valid_control_fraction
-    if new_metric > old_metric:
+    challenger = _train_and_report(agent, normalizer,
+                                   [load_case(p) for p in train_paths], test_paths,
+                                   registry.root / run_id, run_id, seed)
+    registry.add(challenger)
+    # On a full tie the incumbent sorts first: its run id prefixes the challenger's.
+    if min(incumbent, challenger,
+           key=lambda e: _selection_key(registry.selection_metric, e)) is challenger:
         registry.set_best(run_id)
-        return entry
     return registry.best()
 
 
@@ -592,7 +585,7 @@ def _run_config(doc: dict) -> RunConfig:
     sac = SacConfig.from_dict(doc.get("sac", {}))
     return RunConfig(run_id=doc["run_id"], sac=sac, case_path=doc["case_path"],
                      snapshot_dir=doc["snapshot_dir"],
-                     train_fraction=doc.get("train_fraction", 0.8),
+                     train_fraction=doc.get("train_fraction", TRAIN_FRACTION),
                      seed=doc.get("seed", 0))
 
 

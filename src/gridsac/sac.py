@@ -12,14 +12,14 @@ from __future__ import annotations
 import enum
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .environment import (Action, GridControlEnv, Normalizer,
                           SnapshotStreamExhausted, StateVector)
-from .grid_model import V_SET_MAX, V_SET_MIN
+from .grid_model import V_SET_MAX, V_SET_MIN, write_text_atomic
 from .neural import (AdamState, DenseNetwork, adam_step, backward,
                      copy_network, forward, init_network, network_from_flat,
                      network_to_flat, polyak_update)
@@ -49,6 +49,7 @@ LOG_STD_MAX = 2.0
 TANH_EPS = 1e-6
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_EVERY = 200     # episodes between intermediate checkpoints
 
 METRICS_HEADER = ("episode", "steps", "reward", "p_loss_pre", "p_loss_final",
                   "delta_loss_frac", "done_reason", "q1_loss", "q2_loss",
@@ -103,12 +104,16 @@ class SacConfig:
     def from_dict(cls, doc: dict) -> "SacConfig":
         """Config from a JSON object. Keys of knobs that were removed are
         dropped, so configs and checkpoints written before still load; one
-        that had learning-rate decay switched on is refused."""
+        that had learning-rate decay switched on, or any other unknown key,
+        is refused with ``ValueError``."""
         doc = dict(doc)
         if doc.pop("lr_decay_enabled", False):
             raise ValueError("learning-rate decay (lr_decay_enabled) is no longer supported")
         for key in ("entropy_max", "lr_decay_rate"):
             doc.pop(key, None)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SAC config keys: {', '.join(unknown)}")
         return cls(**doc)
 
 
@@ -460,7 +465,6 @@ class RunLog:
 
     metrics_path: Path | None = None
     checkpoint_dir: Path | None = None
-    checkpoint_every: int = 200
 
     def open_metrics(self):
         if self.metrics_path is None:
@@ -539,7 +543,7 @@ def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
                 fh.write(row.csv_row() + "\n")
             episode += 1
             if (run_log.checkpoint_dir is not None
-                    and episode % run_log.checkpoint_every == 0):
+                    and episode % CHECKPOINT_EVERY == 0):
                 save_checkpoint(run_log.checkpoint_dir / f"ep{episode:06d}.json",
                                 agent, normalizer or env.normalizer)
     finally:
@@ -557,7 +561,7 @@ def save_checkpoint(path: str | Path, agent: SacAgent,
                     normalizer: Normalizer | None) -> None:
     """Versioned JSON checkpoint: layer dims, row-major flat parameters,
     normalizer statistics, and the full config. Sufficient for inference
-    without any training state."""
+    without any training state. An existing file is replaced atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     norm = normalizer or Normalizer.identity(agent.state_dim)
@@ -577,7 +581,7 @@ def save_checkpoint(path: str | Path, agent: SacAgent,
         "normalizer": {"mean": norm.mean.tolist(), "scale": norm.scale.tolist()},
         "config": asdict(agent.config),
     }
-    path.write_text(json.dumps(doc))
+    write_text_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path: str | Path) -> tuple[SacAgent, Normalizer]:

@@ -131,6 +131,16 @@ def test_evaluate_refuses_checkpoint_trained_with_lr_decay(tmp_path, capsys):
     assert "lr_decay_enabled" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_checkpoint_with_unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, SacAgent.create(4, 2, SacConfig()), None)
+    doc = json.loads(path.read_text())
+    doc["config"]["entropy_cap"] = 0.1
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", str(path), "snaps"]) == 2
+    assert "entropy_cap" in capsys.readouterr().err
+
+
 def test_campaign_all_failures_numerical_exit(tmp_path):
     campaign_cfg = tmp_path / "campaign.json"
     campaign_cfg.write_text(json.dumps({

@@ -1,18 +1,21 @@
 """Snapshot generation, splits, campaign mechanics, registry, retraining."""
 
+import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridsac import harness
 from gridsac.grid_model import load_case
 from gridsac.harness import (CampaignConfig, CampaignError, EvaluationReport,
                              ModelRegistry, RegistryEntry, RunConfig,
-                             RunResult, SelectionMetric, SnapshotGenSpec,
-                             _selection_key, evaluate, generate_snapshots,
-                             load_snapshots, periodic_retrain, run_campaign,
-                             snapshot_paths, split_snapshots)
+                             SelectionMetric, SnapshotGenSpec, _selection_key,
+                             evaluate, generate_snapshots, load_snapshots,
+                             periodic_retrain, run_campaign, snapshot_paths,
+                             split_snapshots)
 from gridsac.power_flow import audit_violations, solve_newton_raphson
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
@@ -136,15 +139,18 @@ def test_split_always_leaves_both_sides(tmp_path):
 
 # --- selection rule ----------------------------------------------------------------
 
-def fake_result(run_id, solved, reward=0.0, mlr=0.0):
-    report = EvaluationReport(
+def fake_report(solved, reward=0.0, mlr=0.0):
+    return EvaluationReport(
         n_snapshots=10, valid_control_fraction=solved, reduced_fraction=solved,
         non_degrading_fraction=solved, mean_loss_reduction_pct=mlr,
         mean_episode_reward=reward, violation_snapshots=0, violations_resolved=0,
         violations_mitigated=0, mean_latency_s=0.0, max_latency_s=0.0,
         p95_latency_s=0.0)
-    return RunResult(run_id=run_id, checkpoint_path="x", metrics_path="y",
-                     report=report)
+
+
+def fake_result(run_id, solved, reward=0.0, mlr=0.0):
+    return RegistryEntry(run_id=run_id, checkpoint_path="x", metrics_path="y",
+                         report=fake_report(solved, reward, mlr))
 
 
 def test_selection_prefers_higher_metric_then_reduction_then_id():
@@ -169,6 +175,8 @@ def test_single_run_campaign_selects_it(tmp_path):
     assert best.run_id == "only"
     assert Path(best.checkpoint_path).exists()
     assert Path(best.metrics_path).exists()
+    doc = json.loads((tmp_path / "campaign" / "registry" / "registry.json").read_text())
+    assert doc["selection_metric"] == "SolvedFraction"
 
 
 def test_identical_runs_tie_broken_by_run_id(tmp_path):
@@ -284,23 +292,17 @@ def test_evaluate_report_fields(tmp_path):
 
 # --- registry ------------------------------------------------------------------------
 
-def entry(run_id, solved):
-    r = fake_result(run_id, solved)
-    return RegistryEntry(run_id=r.run_id, checkpoint_path=r.checkpoint_path,
-                         metrics_path=r.metrics_path, report=r.report)
-
-
 def test_registry_keeps_all_entries(tmp_path):
     reg = ModelRegistry(tmp_path / "reg")
-    reg.add(entry("one", 0.5))
-    reg.add(entry("two", 0.9))
+    reg.add(fake_result("one", 0.5))
+    reg.add(fake_result("two", 0.9))
     reg.set_best("two")
     # reload from disk
     again = ModelRegistry(tmp_path / "reg")
     assert [e.run_id for e in again.entries()] == ["one", "two"]
     assert again.best().run_id == "two"
     with pytest.raises(ValueError):
-        again.add(entry("two", 0.1))
+        again.add(fake_result("two", 0.1))
     with pytest.raises(ValueError):
         again.set_best("nope")
 
@@ -311,6 +313,23 @@ def test_registry_requires_best(tmp_path):
         reg.best()
 
 
+def test_failed_registry_write_keeps_the_old_best(tmp_path, monkeypatch):
+    reg = ModelRegistry(tmp_path / "reg")
+    reg.add(fake_result("one", 0.5))
+    reg.add(fake_result("two", 0.9))
+    reg.set_best("one")
+
+    def crash(src, dst):
+        raise OSError("crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        reg.set_best("two")
+    monkeypatch.undo()
+    assert ModelRegistry(tmp_path / "reg").best().run_id == "one"
+    assert [p.name for p in (tmp_path / "reg").iterdir()] == ["registry.json"]
+
+
 # --- periodic retraining -----------------------------------------------------------------
 
 def seeded_registry(tmp_path, snap_dir, solved_metric):
@@ -319,12 +338,17 @@ def seeded_registry(tmp_path, snap_dir, solved_metric):
     ck = tmp_path / "base" / "final.json"
     save_checkpoint(ck, agent, None)
     reg = ModelRegistry(tmp_path / "registry")
-    e = entry("base", solved_metric)
-    e = RegistryEntry(run_id="base", checkpoint_path=str(ck),
-                      metrics_path=e.metrics_path, report=e.report)
-    reg.add(e)
+    reg.add(replace(fake_result("base", solved_metric), checkpoint_path=str(ck)))
     reg.set_best("base")
     return reg
+
+
+def stub_evaluate(monkeypatch, reg, incumbent, challenger):
+    """``harness.evaluate`` keyed by checkpoint: the registry's best model
+    scores ``incumbent``, its first retrain scores ``challenger``."""
+    reports = {reg.best().checkpoint_path: incumbent,
+               str(reg.root / "base-retrain01" / "checkpoints" / "final.json"): challenger}
+    monkeypatch.setattr(harness, "evaluate", lambda ck, snapshots: reports[str(ck)])
 
 
 def test_retrain_zero_episodes_same_metric_keeps_best(tmp_path):
@@ -346,11 +370,57 @@ def test_retrain_zero_episodes_same_metric_keeps_best(tmp_path):
     assert len(reg.entries()) == 2
 
 
-def test_retrain_improving_moves_best(tmp_path):
+@pytest.mark.parametrize("stored_solved", [-1.0, 1.0])
+def test_retrain_without_training_never_moves_best(tmp_path, stored_solved):
+    # both models are scored afresh on the same split, so the stored report
+    # of the incumbent cannot decide; identical models tie and the incumbent stays
     out = generate_snapshots(spec_for(tmp_path, n=8))
-    reg = seeded_registry(tmp_path, out, solved_metric=-1.0)  # stored metric worse
+    reg = seeded_registry(tmp_path, out, solved_metric=stored_solved)
+    best = periodic_retrain(reg, out, sac_overrides={"n_episodes": 0})
+    assert best.run_id == "base"
+    again = ModelRegistry(reg.root)
+    assert again.best().run_id == "base"
+    assert again.best().report == fake_report(stored_solved)  # never rewritten
+    assert [e.run_id for e in again.entries()] == ["base", "base-retrain01"]
+
+
+def test_retrain_improving_moves_best(tmp_path, monkeypatch):
+    out = generate_snapshots(spec_for(tmp_path, n=8))
+    reg = seeded_registry(tmp_path, out, solved_metric=1.0)  # stale stored score
+    stub_evaluate(monkeypatch, reg, incumbent=fake_report(0.2), challenger=fake_report(0.8))
     best = periodic_retrain(reg, out, sac_overrides={"n_episodes": 0})
     assert best.run_id == "base-retrain01"
+    assert ModelRegistry(reg.root).best().run_id == "base-retrain01"
+
+
+def test_retrain_ranks_by_the_registry_metric(tmp_path, monkeypatch):
+    out = generate_snapshots(spec_for(tmp_path, n=8))
+    reg = seeded_registry(tmp_path, out, solved_metric=0.5)
+    reg.selection_metric = SelectionMetric.MEAN_TEST_REWARD
+    # the challenger solves more but earns less reward
+    stub_evaluate(monkeypatch, reg, incumbent=fake_report(0.2, reward=5.0),
+                  challenger=fake_report(0.9, reward=1.0))
+    best = periodic_retrain(ModelRegistry(reg.root), out, sac_overrides={"n_episodes": 0})
+    assert best.run_id == "base"
+    assert ModelRegistry(reg.root).best().run_id == "base"
+
+
+def test_registry_without_selection_metric_ranks_by_solved_fraction(tmp_path, monkeypatch):
+    out = generate_snapshots(spec_for(tmp_path, n=8))
+    reg = seeded_registry(tmp_path, out, solved_metric=0.5)
+    assert "selection_metric" not in json.loads((reg.root / "registry.json").read_text())
+    assert ModelRegistry(reg.root).selection_metric is SelectionMetric.SOLVED_FRACTION
+    stub_evaluate(monkeypatch, reg, incumbent=fake_report(0.2, reward=5.0),
+                  challenger=fake_report(0.9, reward=1.0))
+    best = periodic_retrain(reg.root, out, sac_overrides={"n_episodes": 0})
+    assert best.run_id == "base-retrain01"
+
+
+def test_retrain_override_with_unknown_key_is_refused(tmp_path):
+    out = generate_snapshots(spec_for(tmp_path, n=8))
+    reg = seeded_registry(tmp_path, out, solved_metric=0.5)
+    with pytest.raises(ValueError, match="entropy_cap"):
+        periodic_retrain(reg, out, sac_overrides={"entropy_cap": 0.1})
 
 
 def test_retrain_degrading_keeps_best(tmp_path):
@@ -364,5 +434,7 @@ def test_retrain_degrading_keeps_best(tmp_path):
 def test_retrain_dimension_mismatch(tmp_path):
     out14 = generate_snapshots(spec_for(tmp_path, case=CASE14, n=4))
     reg = seeded_registry(tmp_path, out14, solved_metric=0.5)  # 3-bus checkpoint
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(ValueError, match="dimensions .* do not match"):
         periodic_retrain(reg, out14)
+    assert not list(reg.root.glob("*-retrain*"))
+    assert [e.run_id for e in ModelRegistry(reg.root).entries()] == ["base"]

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -453,5 +454,22 @@ def test_checkpoint_trained_with_lr_decay_is_refused(tmp_path):
 
 
 def test_checkpoint_with_unknown_config_key_is_refused(tmp_path):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="entropy_cap"):
         load_checkpoint(_checkpoint_with_config(tmp_path, entropy_cap=0.1))
+
+
+def test_failed_checkpoint_overwrite_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    old = make_agent(seed=1)
+    save_checkpoint(path, old, None)
+
+    def crash(src, dst):
+        raise OSError("crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_checkpoint(path, make_agent(seed=2), None)
+    monkeypatch.undo()
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.policy.params, old.policy.params)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]

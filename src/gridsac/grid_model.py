@@ -4,6 +4,13 @@ All electrical quantities are per-unit on the case's ``base_mva`` (voltages on
 the nominal voltage base). Case files are JSON documents whose field names
 match the dataclass fields one-for-one; :func:`parse_case` and
 :func:`serialize_case` are exact inverses for every representable value.
+
+:func:`serialize_case` writes one top-level key per line and one bus,
+branch, generator or plant record per line. :func:`parse_case` accepts any
+JSON whitespace, so files in other layouts (such as ``json.dumps(doc,
+indent=2)``) load to the same case. :func:`save_case` is a plain write: a
+file torn by a crash ends before the top-level object closes, and loading
+it raises :class:`CaseSyntaxError` with the line it ends on.
 """
 
 from __future__ import annotations
@@ -355,6 +362,8 @@ _GEN_FIELDS = ("id", "bus", "p_gen", "q_gen", "p_min", "p_max", "q_min", "q_max"
 _PLANT_FIELDS = ("id", "name", "generators")
 _TOP_KEYS = ("base_mva", "buses", "branches", "generators", "plants",
              "monitored_buses", "monitored_branches")
+# Top-level lists written one record per line by :func:`serialize_case`.
+_RECORD_KEYS = ("buses", "branches", "generators", "plants")
 
 _BUS_DEFAULTS: dict[str, Any] = {
     "v_mag": 1.0, "v_ang": 0.0, "p_load": 0.0, "q_load": 0.0,
@@ -374,7 +383,7 @@ def parse_case(text: str) -> GridCase:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise CaseSemanticError("case document must be an object")
     unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
@@ -403,19 +412,16 @@ def parse_case(text: str) -> GridCase:
 
 
 def _parse_component(obj, what, fields, defaults, make):
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise CaseSemanticError(f"each {what} must be an object")
-    unknown = set(obj) - set(fields)
+    unknown = obj.keys() - fields
     if unknown:
         raise CaseSemanticError(f"{what}: unknown fields {sorted(unknown)}")
-    values = {}
-    for name in fields:
-        if name in obj:
-            values[name] = obj[name]
-        elif name in defaults:
-            values[name] = defaults[name]
-        else:
-            raise CaseSemanticError(f"{what}: missing field {name!r}")
+    values = {**defaults, **obj}
+    # Unknown names were refused above, so a short dict lacks a field.
+    if len(values) < len(fields):
+        missing = next(name for name in fields if name not in values)
+        raise CaseSemanticError(f"{what}: missing field {missing!r}")
     try:
         return make(values)
     except (TypeError, ValueError) as exc:
@@ -457,9 +463,9 @@ def _make_plant(v) -> Plant:
                  generators=tuple(int(g) for g in v["generators"]))
 
 
-def serialize_case(case: GridCase) -> str:
-    """Emit the canonical case-file text; exact inverse of :func:`parse_case`."""
-    doc = {
+def _case_document(case: GridCase) -> dict[str, Any]:
+    """The JSON document of a case, in the field order of the case file."""
+    return {
         "base_mva": case.base_mva,
         "buses": [
             {"id": b.id, "kind": b.kind.value, "v_mag": b.v_mag, "v_ang": b.v_ang,
@@ -486,7 +492,22 @@ def serialize_case(case: GridCase) -> str:
         "monitored_buses": list(case.monitored_buses),
         "monitored_branches": list(case.monitored_branches),
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_case(case: GridCase) -> str:
+    """Emit the canonical case-file text; exact inverse of :func:`parse_case`.
+
+    Every value goes through ``json.dumps`` without ``indent``, which keeps
+    it on CPython's C encoder; the layout is in the module docstring.
+    """
+    lines = []
+    for key, value in _case_document(case).items():
+        if key in _RECORD_KEYS and value:
+            records = ",\n".join("    " + json.dumps(record) for record in value)
+            lines.append(f'  "{key}": [\n{records}\n  ]')
+        else:
+            lines.append(f'  "{key}": {json.dumps(value)}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def load_case(path: str | Path) -> GridCase:
@@ -494,6 +515,8 @@ def load_case(path: str | Path) -> GridCase:
 
 
 def save_case(case: GridCase, path: str | Path) -> None:
+    """Plain write, without fsync: a torn file fails to load with
+    :class:`CaseSyntaxError` (see the module docstring)."""
     Path(path).write_text(serialize_case(case))
 
 

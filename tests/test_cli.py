@@ -1,6 +1,10 @@
 """End-to-end CLI: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from gridsac.grid_model import bundled_case, serialize_case, with_loads
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
 CASE3 = "src/gridsac/cases/case3.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_spec(tmp_path, **kw):
@@ -148,3 +153,24 @@ def test_campaign_all_failures_numerical_exit(tmp_path):
         "output_dir": str(tmp_path / "campaign"),
     }))
     assert main(["campaign", str(campaign_cfg)]) == 3
+
+
+def test_evaluate_on_truncated_snapshot_is_data_error(tmp_path):
+    # A snapshot torn mid-write is caught when the directory is loaded.
+    checkpoint = tmp_path / "ck.json"
+    save_checkpoint(checkpoint, SacAgent.create(4, 2, SacConfig()), None)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    text = serialize_case(bundled_case("case3"))
+    for k in range(3):
+        (snaps / f"snap_{k:06d}.json").write_text(text)
+    (snaps / "snap_000001.json").write_text(text[:len(text) // 2])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsac.cli", "evaluate", str(checkpoint), str(snaps)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert "line" in proc.stderr

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
                                 CaseSyntaxError, Generator, GridCase, Plant,
                                 bundled_case, bundled_case_names,
-                                derive_admittance_params, parse_case, rebase,
-                                serialize_case, with_generation, with_loads,
+                                _case_document, derive_admittance_params,
+                                parse_case, rebase, serialize_case,
+                                with_generation, with_loads,
                                 with_plant_setpoints)
 
 from conftest import make_two_bus
@@ -43,8 +45,11 @@ def test_parse_minimal_case():
     assert case.bus_by_id[1].kind is BusKind.SLACK
     assert case.bus_by_id[2].p_load == 0.5
     # defaults fill in
-    assert case.bus_by_id[1].v_min == 0.97
-    assert case.bus_by_id[1].v_max == 1.07
+    assert case.bus_by_id[1] == Bus(id=1, kind=BusKind.SLACK, v_mag=1.0, v_ang=0.0,
+                                    p_load=0.0, q_load=0.0, g_shunt=0.0, b_shunt=0.0,
+                                    v_min=0.97, v_max=1.07)
+    assert case.branch_by_id[1] == Branch(id=1, from_bus=1, to_bus=2, r=0.01, x=0.05,
+                                          b_charge=0.0, s_max=1.0, in_service=True)
     assert case.branch_by_id[1].in_service is True
 
 
@@ -71,6 +76,73 @@ def test_parse_semantic_errors(mutate, fragment):
     with pytest.raises(CaseSemanticError) as exc:
         parse_case(json.dumps(doc))
     assert fragment in str(exc.value)
+
+
+def _parse_error(doc) -> str:
+    with pytest.raises(CaseSemanticError) as exc:
+        parse_case(json.dumps(doc))
+    return str(exc.value)
+
+
+def _minimal(**edits):
+    doc = json.loads(MINIMAL_TWO_BUS)
+    doc.update(edits)
+    return doc
+
+
+def test_reader_messages_at_document_level():
+    assert _parse_error([1, 2]) == "case document must be an object"
+    assert (_parse_error(_minimal(zone="north", area=3))
+            == "unknown top-level keys: ['area', 'zone']")
+    doc = _minimal()
+    del doc["monitored_branches"], doc["plants"], doc["base_mva"]
+    assert (_parse_error(doc)
+            == "missing top-level keys: ['base_mva', 'plants', 'monitored_branches']")
+
+
+@pytest.mark.parametrize("key, record, message", [
+    ("buses", [1, "Slack"], "each bus must be an object"),
+    ("branches", None, "each branch must be an object"),
+    ("plants", "p", "each plant must be an object"),
+    ("buses", {"p_load": 0.1}, "bus: missing field 'id'"),
+    ("buses", {"id": 3, "v_min": 0.9}, "bus: missing field 'kind'"),
+    ("branches", {"id": 2, "from_bus": 1, "x": 0.1},
+     "branch: missing field 'to_bus'"),
+    ("generators", {"id": 1, "bus": 1, "q_gen": 0.0, "v_set": 1.0},
+     "generator: missing field 'p_gen'"),
+    ("plants", {"id": 1, "name": "a"}, "plant: missing field 'generators'"),
+    ("buses", {"id": 3, "kind": "Swing"}, "bus: 'Swing' is not a valid BusKind"),
+    ("buses", {"id": 3, "kind": "PQ", "p_load": None},
+     "bus: float() argument must be a string or a real number, not 'NoneType'"),
+    ("branches", {"id": 2, "from_bus": 1, "to_bus": 2, "r": 0.0, "x": 0.1,
+                  "in_service": 1}, "branch: in_service must be a boolean"),
+    ("generators", {"id": 1, "bus": 1, "p_gen": "high", "q_gen": 0.0, "p_min": 0.0,
+                    "p_max": 1.0, "q_min": -1.0, "q_max": 1.0, "v_set": 1.0,
+                    "plant": 1},
+     "generator: could not convert string to float: 'high'"),
+    ("plants", {"id": 1, "name": "a", "generators": 5},
+     "plant: 'int' object is not iterable"),
+])
+def test_reader_messages_per_record(key, record, message):
+    assert _parse_error(_minimal(**{key: [record]})) == message
+
+
+def test_infinite_voltage_limit_roundtrips():
+    case = make_two_bus()
+    case = replace(case, buses=(replace(case.buses[0], v_max=float("inf")),
+                                case.buses[1]))
+    text = serialize_case(case)
+    assert '"v_max": Infinity' in text
+    assert parse_case(text) == case
+
+
+def test_non_ascii_plant_name_roundtrips():
+    case = make_two_bus()
+    case = replace(case, plants=(replace(case.plants[0], name="Kraftwerk Süd 北"),))
+    text = serialize_case(case)
+    assert text.isascii()
+    assert parse_case(text).plants[0].name == "Kraftwerk Süd 北"
+    assert parse_case(text) == case
 
 
 def test_two_slack_buses_rejected():
@@ -114,6 +186,7 @@ def test_roundtrip_single_bus_without_branches():
                     branches=(), generators=(), plants=(),
                     monitored_buses=(7,), monitored_branches=())
     text = serialize_case(case)
+    assert '  "branches": [],' in text.splitlines()
     assert parse_case(text) == case
 
 
@@ -126,12 +199,47 @@ def test_bundled_cases_listed_and_valid():
     assert len(bundled_case("case14").plants) >= 2
 
 
-def test_bundled_case14_matches_golden_text():
-    # The shipped file is the canonical serialization; re-serializing the
+def test_every_bundled_case_matches_golden_text():
+    # Each shipped file is the canonical serialization; re-serializing the
     # parsed case must reproduce it byte for byte.
-    from importlib import resources
-    text = (resources.files("gridsac") / "cases" / "case14.json").read_text()
-    assert serialize_case(parse_case(text)) == text
+    for name in bundled_case_names():
+        text = (resources.files("gridsac") / "cases" / f"{name}.json").read_text()
+        assert serialize_case(parse_case(text)) == text, name
+
+
+def test_case_file_has_one_record_per_line(case3):
+    lines = serialize_case(case3).splitlines()
+    assert lines[:3] == ['{', '  "base_mva": 100.0,', '  "buses": [']
+    assert lines[3] == "    " + json.dumps(_case_document(case3)["buses"][0]) + ","
+    assert lines[-3:] == ['  "monitored_buses": [1, 2, 3],',
+                          '  "monitored_branches": [1, 2, 3]', '}']
+
+
+@pytest.mark.parametrize("name", bundled_case_names())
+def test_serialized_text_loads_to_its_document(name):
+    case = bundled_case(name)
+    assert json.loads(serialize_case(case)) == _case_document(case)
+
+
+@pytest.mark.parametrize("name", bundled_case_names())
+def test_indented_case_file_still_loads(name):
+    # The layout older versions wrote; JSON whitespace is free on read.
+    case = bundled_case(name)
+    old_layout = json.dumps(json.loads(serialize_case(case)), indent=2)
+    assert parse_case(old_layout) == case
+
+
+def test_torn_case_file_is_a_syntax_error(case14):
+    # A file cut at any line boundary before its closing brace (a crash
+    # during save_case) fails to load, and the error names a line.
+    text = serialize_case(case14)
+    closing = text.rindex("}")
+    cuts = [0] + [i + 1 for i, ch in enumerate(text[:closing]) if ch == "\n"]
+    assert len(cuts) == text.count("\n")
+    for cut in cuts:
+        with pytest.raises(CaseSyntaxError) as exc:
+            parse_case(text[:cut])
+        assert exc.value.line is not None and "line" in str(exc.value)
 
 
 def test_unknown_bundled_case():
@@ -233,6 +341,12 @@ def test_generated_cases_roundtrip_exactly(case):
     recovered = parse_case(serialize_case(case))
     assert recovered == case
     assert math.isclose(rebase(case, case.base_mva).base_mva, case.base_mva)
+
+
+@given(grid_cases())
+@settings(max_examples=60, deadline=None)
+def test_generated_case_text_loads_to_its_document(case):
+    assert json.loads(serialize_case(case)) == _case_document(case)
 
 
 @given(grid_cases(), st.floats(min_value=10.0, max_value=500.0))

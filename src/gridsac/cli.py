@@ -14,9 +14,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .grid_model import CaseError, load_case
-from .harness import (CampaignError, campaign_config_from_file, evaluate,
-                      generate_snapshots, periodic_retrain, run_campaign,
-                      run_config_from_file, run_single, snapshot_spec_from_file)
+from .harness import (CampaignConfig, CampaignError, RunConfig, SnapshotGenSpec,
+                      config_from_file, evaluate, generate_snapshots,
+                      periodic_retrain, run_campaign, run_single)
 from .power_flow import SolverOptions, audit_violations, solve_newton_raphson
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     case = load_case(args.case)
     opts = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iterations,
-                         enforce_q_limits=not args.no_q_limits)
+                         q_limit_budget=0 if args.no_q_limits else SolverOptions.q_limit_budget)
     sol = solve_newton_raphson(case, opts=opts)
     print(f"converged: {sol.converged}  iterations: {sol.iterations}  "
           f"mismatch: {sol.mismatch_inf_norm:.3e}")
@@ -90,14 +90,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = snapshot_spec_from_file(args.spec)
+    spec = config_from_file(SnapshotGenSpec, args.spec)
     out = generate_snapshots(spec)
     print(f"wrote {spec.n_snapshots} snapshots to {out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    run = run_config_from_file(args.config)
+    run = config_from_file(RunConfig, args.config)
     result = run_single(run, args.out)
     print(f"run {result.run_id}: checkpoint {result.checkpoint_path}")
     print(json.dumps(asdict(result.report), indent=2))
@@ -105,7 +105,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    config = campaign_config_from_file(args.config)
+    config = config_from_file(CampaignConfig, args.config)
     best = run_campaign(config)
     print(f"best run: {best.run_id}")
     print(f"checkpoint: {best.checkpoint_path}")

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grid_model import GridCase, V_SET_MAX, V_SET_MIN, with_plant_setpoints
+from .grid_model import (GridCase, V_SET_MAX, V_SET_MIN, plant_setpoints,
+                         with_plant_setpoints)
 from .power_flow import (CompiledGrid, PowerFlowSolution, SolverOptions,
                          ViolationReport, audit_violations, compile_grid,
                          solve_newton_raphson)
@@ -43,6 +44,9 @@ __all__ = [
 
 # Episodes terminate successfully at this fractional loss reduction (0.5%).
 SUCCESS_LOSS_REDUCTION = 0.005
+
+# Control iterations warm start from the previous solution.
+_WARM_START = SolverOptions(flat_start=False)
 
 # Reward assigned when a control action makes the power flow diverge; matches
 # the worst regular reward so divergence is never preferred.
@@ -201,24 +205,18 @@ def compute_reward(p_loss: float, p_loss_pre: float, report: ViolationReport) ->
 
 
 def check_termination(episode: SnapshotEpisode, converged: bool,
-                      report: ViolationReport | None, delta_loss_frac: float,
-                      success_threshold: float = SUCCESS_LOSS_REDUCTION) -> tuple[bool, DoneReason]:
-    """Episode termination: solver divergence, full success, or step budget."""
+                      report: ViolationReport | None,
+                      delta_loss_frac: float) -> tuple[bool, DoneReason]:
+    """Episode termination: solver divergence, full success (no violation
+    and at least :data:`SUCCESS_LOSS_REDUCTION` of the losses saved), or
+    step budget."""
     if not converged:
         return True, DoneReason.DIVERGED
-    if report is not None and not report.any and delta_loss_frac <= -success_threshold:
+    if report is not None and not report.any and delta_loss_frac <= -SUCCESS_LOSS_REDUCTION:
         return True, DoneReason.SOLVED
     if episode.step_count >= episode.max_steps:
         return True, DoneReason.MAX_STEPS
     return False, DoneReason.RUNNING
-
-
-def _plant_setpoints(case: GridCase) -> np.ndarray:
-    out = np.empty(len(case.plant_order))
-    for k, pid in enumerate(case.plant_order):
-        gens = [case.generator_by_id[g] for g in case.plant_by_id[pid].generators]
-        out[k] = float(np.mean([g.v_set for g in gens]))
-    return out
 
 
 class GridControlEnv:
@@ -232,16 +230,10 @@ class GridControlEnv:
 
     def __init__(self, snapshots: Iterable[GridCase],
                  normalizer: Normalizer | None = None,
-                 solver_options: SolverOptions = SolverOptions(),
-                 max_steps: int = 10,
-                 success_threshold: float = SUCCESS_LOSS_REDUCTION):
+                 max_steps: int = 10):
         self._snapshots: Iterator[GridCase] = iter(snapshots)
         self.normalizer = normalizer
-        self.solver_options = solver_options
-        # Control iterations always warm start from the previous solution.
-        self._warm_options = replace(solver_options, flat_start=False)
         self.max_steps = max_steps
-        self.success_threshold = success_threshold
         self.episode: SnapshotEpisode | None = None
         self._current_case: GridCase | None = None
         self._current_solution: PowerFlowSolution | None = None
@@ -273,7 +265,7 @@ class GridControlEnv:
                 raise SnapshotStreamExhausted(
                     f"snapshot stream exhausted ({self.skipped_snapshots} skipped)")
             grid = compile_grid(case)
-            base = solve_newton_raphson(case, opts=self.solver_options, grid=grid)
+            base = solve_newton_raphson(case, grid=grid)
             if not base.converged:
                 self.skipped_snapshots += 1
                 logger.info("skipping snapshot: base power flow did not converge")
@@ -288,7 +280,7 @@ class GridControlEnv:
             grid=grid,
             base_solution=base,
             p_loss_pre=base.p_loss_total,
-            v_set_initial=_plant_setpoints(case),
+            v_set_initial=plant_setpoints(case),
             max_steps=self.max_steps,
         )
         if self.normalizer is None:
@@ -318,12 +310,11 @@ class GridControlEnv:
         case = with_plant_setpoints(
             self._current_case, dict(zip(episode.case.plant_order, v_set)))
         sol = solve_newton_raphson(case, start=self._current_solution,
-                                   opts=self._warm_options, grid=episode.grid)
+                                   opts=_WARM_START, grid=episode.grid)
         episode.step_count += 1
 
         if not sol.converged:
-            done, reason = check_termination(episode, False, None, 0.0,
-                                             self.success_threshold)
+            done, reason = check_termination(episode, False, None, 0.0)
             self._done = True
             result = StepResult(
                 next_state=self._current_state,
@@ -339,8 +330,7 @@ class GridControlEnv:
         p_loss = sol.p_loss_total
         delta_frac = (p_loss - episode.p_loss_pre) / episode.p_loss_pre
         reward = compute_reward(p_loss, episode.p_loss_pre, report)
-        done, reason = check_termination(episode, True, report, delta_frac,
-                                         self.success_threshold)
+        done, reason = check_termination(episode, True, report, delta_frac)
 
         self._current_case = case
         self._current_solution = sol

@@ -24,6 +24,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 __all__ = [
     "BusKind",
     "Bus",
@@ -42,6 +44,7 @@ __all__ = [
     "bundled_case_names",
     "derive_admittance_params",
     "rebase",
+    "plant_setpoints",
     "with_plant_setpoints",
     "with_loads",
     "with_generation",
@@ -511,7 +514,12 @@ def serialize_case(case: GridCase) -> str:
 
 
 def load_case(path: str | Path) -> GridCase:
-    return parse_case(Path(path).read_text())
+    """Parse the case file at ``path``; a :class:`CaseError` names the file."""
+    try:
+        return parse_case(Path(path).read_text())
+    except CaseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_case(case: GridCase, path: str | Path) -> None:
@@ -626,6 +634,13 @@ def with_plant_setpoints(case: GridCase, setpoints: Mapping[int, float]) -> Grid
             g = _copy_with(g, v_set=v_set)
         generators.append(g)
     return _derived(case, generators=tuple(generators))
+
+
+def plant_setpoints(case: GridCase) -> np.ndarray:
+    """Voltage setpoint of each plant in ``case.plant_order``: the mean
+    ``v_set`` of its generators."""
+    return np.array([np.mean([case.generator_by_id[g].v_set for g in case.plant_by_id[pid].generators])
+                     for pid in case.plant_order], dtype=float)
 
 
 def with_loads(case: GridCase, p_load: Mapping[int, float],

@@ -17,7 +17,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,9 +26,9 @@ import numpy as np
 from .environment import (SUCCESS_LOSS_REDUCTION, DoneReason, GridControlEnv,
                           Normalizer, SnapshotStreamExhausted, extract_state,
                           fit_normalizer, state_dim)
-from .grid_model import (CaseError, GridCase, load_case, save_case,
-                         with_generation, with_loads, with_plant_setpoints,
-                         write_text_atomic)
+from .grid_model import (V_SET_MAX, V_SET_MIN, CaseError, GridCase, load_case,
+                         plant_setpoints, save_case, with_generation, with_loads,
+                         with_plant_setpoints, write_text_atomic)
 from .power_flow import audit_violations, compile_grid, solve_newton_raphson
 from .sac import (RunLog, SacAgent, SacConfig, SelectMode, load_checkpoint,
                   train)
@@ -52,6 +52,7 @@ __all__ = [
     "run_campaign",
     "evaluate",
     "periodic_retrain",
+    "config_from_file",
 ]
 
 
@@ -94,9 +95,9 @@ class SnapshotGenSpec:
 @dataclass
 class RunConfig:
     run_id: str
-    sac: SacConfig
     case_path: str
     snapshot_dir: str
+    sac: SacConfig = field(default_factory=SacConfig)
     train_fraction: float = TRAIN_FRACTION
     seed: int = 0
 
@@ -206,12 +207,10 @@ def _draw_snapshot(base: GridCase, spec: SnapshotGenSpec, rng: np.random.Generat
     ratio = total_after / total_before if total_before > 0 else 1.0
     p_gen = {g.id: float(np.clip(g.p_gen * ratio, g.p_min, g.p_max))
              for g in base.generators}
-    setpoints = {}
-    for pid in base.plant_order:
-        gens = [base.generator_by_id[gid] for gid in base.plant_by_id[pid].generators]
-        nominal = float(np.mean([g.v_set for g in gens]))
-        setpoints[pid] = float(np.clip(
-            nominal + rng.uniform(-spec.setpoint_jitter, spec.setpoint_jitter), 0.9, 1.1))
+    setpoints = {pid: float(np.clip(nominal + rng.uniform(-spec.setpoint_jitter,
+                                                           spec.setpoint_jitter),
+                                    V_SET_MIN, V_SET_MAX))
+                 for pid, nominal in zip(base.plant_order, plant_setpoints(base))}
     case = with_loads(base, p_load, q_load)
     case = with_generation(case, p_gen)
     return with_plant_setpoints(case, setpoints)
@@ -576,31 +575,31 @@ def periodic_retrain(registry: ModelRegistry | str | Path,
 
 # --- config file I/O -----------------------------------------------------------
 
-def run_config_from_file(path: str | Path) -> RunConfig:
-    doc = json.loads(Path(path).read_text())
-    return _run_config(doc)
+def config_from_file(cls, path: str | Path):
+    """A :class:`RunConfig`, :class:`CampaignConfig` or :class:`SnapshotGenSpec`
+    from the JSON object in the file at ``path``, whose keys are the field
+    names. A field with a default may be left out; an unknown key or a
+    missing field without a default is refused with ``ValueError`` naming it."""
+    return _config(cls, json.loads(Path(path).read_text()))
 
 
-def _run_config(doc: dict) -> RunConfig:
-    sac = SacConfig.from_dict(doc.get("sac", {}))
-    return RunConfig(run_id=doc["run_id"], sac=sac, case_path=doc["case_path"],
-                     snapshot_dir=doc["snapshot_dir"],
-                     train_fraction=doc.get("train_fraction", TRAIN_FRACTION),
-                     seed=doc.get("seed", 0))
+# How a config field is built from its JSON value, where it is not the value.
+_FIELD_FROM_JSON = {
+    "sac": SacConfig.from_dict,
+    "runs": lambda docs: [_config(RunConfig, doc) for doc in docs],
+    "selection_metric": SelectionMetric,
+}
 
 
-def campaign_config_from_file(path: str | Path) -> CampaignConfig:
-    doc = json.loads(Path(path).read_text())
-    runs = [_run_config(r) for r in doc["runs"]]
-    return CampaignConfig(
-        runs=runs,
-        output_dir=doc["output_dir"],
-        selection_metric=SelectionMetric(doc.get("selection_metric", "SolvedFraction")),
-        split_seed=doc.get("split_seed", 0),
-        max_workers=doc.get("max_workers", 1),
-    )
-
-
-def snapshot_spec_from_file(path: str | Path) -> SnapshotGenSpec:
-    doc = json.loads(Path(path).read_text())
-    return SnapshotGenSpec(**doc)
+def _config(cls, doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} keys: {', '.join(missing)}")
+    return cls(**{key: _FIELD_FROM_JSON.get(key, lambda v: v)(value)
+                  for key, value in doc.items()})

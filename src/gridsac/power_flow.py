@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -48,7 +48,6 @@ class SolverOptions:
     tolerance: float = 1e-8
     max_iterations: int = 20
     flat_start: bool = True
-    enforce_q_limits: bool = True
     q_limit_budget: int = 10
 
 
@@ -295,47 +294,86 @@ def solve_newton_raphson(case: GridCase,
     Converged means the active mismatch at every PV/PQ bus and reactive
     mismatch at every PQ bus is within ``opts.tolerance`` in infinity norm.
     PV buses hold their setpoint voltage unless reactive limits force a
-    PV-to-PQ switch (outer loop, up to ``opts.q_limit_budget`` re-solves).
-    Divergence is reported, not raised: the returned solution carries
-    ``converged=False`` and the last mismatch norm.
+    PV-to-PQ switch (outer loop, up to ``opts.q_limit_budget`` re-solves; 0
+    leaves the limits unenforced). Divergence, or a limit still violated
+    when the budget runs out, is reported, not raised: the returned solution
+    carries ``converged=False`` and the last mismatch norm.
 
-    ``iterations`` counts mismatch evaluations, so a network already at its
-    solution reports 1. ``grid`` is ``case`` compiled by :func:`compile_grid`
-    (or a case it serves); without it the case is compiled once for this
-    call. A grid that does not serve ``case`` raises ``ValueError``.
+    ``iterations`` counts the mismatch evaluations of the last Newton solve,
+    so a network already at its solution reports 1. ``grid`` is ``case``
+    compiled by :func:`compile_grid` (or a case it serves); without it the
+    case is compiled once for this call. A grid that does not serve ``case``
+    raises ``ValueError``.
     """
     grid = compile_grid(case) if grid is None else grid.check(case)
     p_sched, q_sched, v_target = _bus_arrays(grid, case)
+    s_sched = p_sched + 1j * q_sched
 
-    pinned: dict[int, QLimitSwitch] = {}   # bus position -> switch
-    budget = opts.q_limit_budget if opts.enforce_q_limits else 0
-    sol = _solve_inner(case, grid, p_sched, q_sched, v_target, start, opts, pinned)
-    warm = replace(opts, flat_start=False)
-    for _ in range(budget):
-        if not sol.converged:
-            break
-        switches = _q_limit_violations(grid, sol, pinned)
-        if not switches:
-            break
-        pinned.update(switches)
-        sol = _solve_inner(case, grid, p_sched, q_sched, v_target, sol, warm, pinned)
+    # Initial voltage: warm start from a previous solution when given and not
+    # overridden by flat_start; regulated magnitudes always reset to their
+    # targets and the slack angle to its reference. A re-solve continues from
+    # where the previous one ended.
+    if start is not None and not opts.flat_start:
+        vm = start.v_mag.copy()
+        va = start.v_ang.copy()
     else:
-        if budget and sol.converged and _q_limit_violations(grid, sol, pinned):
+        vm = np.ones(grid.n)
+        va = np.zeros(grid.n)
+    vm[grid.slack] = v_target[grid.slack]
+    vm[grid.is_pv] = v_target[grid.is_pv]
+    va[grid.slack] = grid.slack_v_ang
+
+    pinned = np.zeros(grid.n, dtype=bool)   # PV buses switched to PQ at a limit
+    at_max = np.zeros(grid.n, dtype=bool)   # ... at q_max rather than q_min
+    budget = opts.q_limit_budget
+    for round_ in range(budget + 1):
+        converged, iterations, mismatch_norm = _newton(grid, s_sched, grid.is_pv & ~pinned,
+                                                       vm, va, opts)
+        v = vm * np.exp(1j * va)
+        s_calc = v * np.conj(grid.ybus @ v)
+        # Net generator reactive output: scheduled at generator buses,
+        # recovered from the solved injections at the slack and at PV buses
+        # (pinned ones included).
+        q_gen = np.where(grid.q_solved, s_calc.imag + grid.q_load, grid.q_gen_bus)
+        if not (budget and converged):
+            break
+        over, under = _q_limit_violations(grid, q_gen, pinned)
+        if not (over.any() or under.any()):
+            break
+        if round_ == budget:
             logger.warning("q-limit switching budget exhausted; flagging non-converged")
-            sol = replace(sol, converged=False)
-    return sol
+            converged = False
+            break
+        pinned |= over | under
+        at_max |= over
+        q_held = np.where(at_max, grid.q_max_bus, grid.q_min_bus)
+        s_sched = p_sched + 1j * np.where(pinned, q_held - grid.q_load, q_sched)
+
+    flows = compute_branch_flows(case, vm, va, grid=grid)
+    p_gen = grid.p_gen_bus.copy()
+    p_gen[grid.slack] = s_calc.real[grid.slack] + grid.p_load[grid.slack]
+    return PowerFlowSolution(
+        converged=converged,
+        iterations=iterations,
+        v_mag=vm,
+        v_ang=va,
+        flows=flows,
+        p_loss_total=float(np.sum(flows.p_loss)),
+        mismatch_inf_norm=mismatch_norm,
+        p_gen_bus=p_gen,
+        q_gen_bus=q_gen,
+        q_limit_switches=tuple(
+            QLimitSwitch(int(grid.bus_ids[i]), grid.gens_at_bus[i], "max" if at_max[i] else "min",
+                         float(grid.q_max_bus[i] if at_max[i] else grid.q_min_bus[i]))
+            for i in np.flatnonzero(pinned)),
+    )
 
 
-def _solve_inner(case, grid: CompiledGrid, p_sched, q_sched, v_target, start, opts,
-                 pinned: dict[int, QLimitSwitch]) -> PowerFlowSolution:
+def _newton(grid: CompiledGrid, s_sched, is_pv, vm, va,
+            opts: SolverOptions) -> tuple[bool, int, float]:
+    """One Newton-Raphson solve with ``is_pv`` as the PV buses. Updates
+    ``vm`` and ``va`` in place; returns (converged, iterations, mismatch norm)."""
     n, slack, ybus = grid.n, grid.slack, grid.ybus
-
-    is_pv = grid.is_pv.copy()
-    if pinned:
-        at = np.fromiter(pinned, int, len(pinned))
-        is_pv[at] = False
-        q_sched = q_sched.copy()
-        q_sched[at] = np.array([sw.q_pinned for sw in pinned.values()]) - grid.q_load[at]
     is_pq = ~is_pv
     is_pq[slack] = False
 
@@ -345,24 +383,9 @@ def _solve_inner(case, grid: CompiledGrid, p_sched, q_sched, v_target, start, op
     # Rows and columns of the reduced Jacobian in [Re dS | Im dS] x [dth | dVm].
     reduced = np.concatenate([pvpq, n + pq])
     reduced = np.ix_(reduced, reduced)
-    s_sched = p_sched + 1j * q_sched
-
-    # Initial voltage: warm start from a previous solution when given and not
-    # overridden by flat_start; regulated magnitudes always reset to their
-    # targets and the slack angle to its reference.
-    if start is not None and not opts.flat_start:
-        vm = start.v_mag.copy()
-        va = start.v_ang.copy()
-    else:
-        vm = np.ones(n)
-        va = np.zeros(n)
-    vm[slack] = v_target[slack]
-    vm[pv] = v_target[pv]
-    va[slack] = grid.slack_v_ang
 
     iterations = 0
     mismatch_norm = np.inf
-    converged = False
     for _ in range(opts.max_iterations + 1):
         iterations += 1
         v = vm * np.exp(1j * va)
@@ -373,8 +396,7 @@ def _solve_inner(case, grid: CompiledGrid, p_sched, q_sched, v_target, start, op
         if not math.isfinite(mismatch_norm):
             break
         if mismatch_norm <= opts.tolerance:
-            converged = True
-            break
+            return True, iterations, mismatch_norm
         if iterations > opts.max_iterations:
             break
         try:
@@ -388,8 +410,7 @@ def _solve_inner(case, grid: CompiledGrid, p_sched, q_sched, v_target, start, op
         vm[pq] += dx[pvpq.size:]
         if (vm <= 0.0).any():
             break
-
-    return _finalize(case, grid, vm, va, converged, iterations, mismatch_norm, pinned)
+    return False, iterations, mismatch_norm
 
 
 def _jacobian(ybus, v, i_bus, vm, reduced):
@@ -414,43 +435,15 @@ def _jacobian(ybus, v, i_bus, vm, reduced):
     return np.concatenate([ds.real, ds.imag])[reduced]
 
 
-def _finalize(case, grid: CompiledGrid, vm, va, converged, iterations, mismatch_norm,
-              pinned):
-    flows = compute_branch_flows(case, vm, va, grid=grid)
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(grid.ybus @ v)
-    # Net generator output: scheduled at generator buses, recovered from the
-    # solved injections at the slack and at PV buses (pinned ones included).
-    p_gen = grid.p_gen_bus.copy()
-    p_gen[grid.slack] = s_calc.real[grid.slack] + grid.p_load[grid.slack]
-    q_gen = np.where(grid.q_solved, s_calc.imag + grid.q_load, grid.q_gen_bus)
-    return PowerFlowSolution(
-        converged=converged,
-        iterations=iterations,
-        v_mag=vm,
-        v_ang=va,
-        flows=flows,
-        p_loss_total=float(np.sum(flows.p_loss)),
-        mismatch_inf_norm=mismatch_norm,
-        p_gen_bus=p_gen,
-        q_gen_bus=q_gen,
-        q_limit_switches=tuple(sorted(pinned.values(), key=lambda s: s.bus)),
-    )
-
-
-def _q_limit_violations(grid: CompiledGrid, sol, pinned) -> dict[int, QLimitSwitch]:
-    """PV buses whose required aggregate reactive output leaves its range,
-    by bus position. The required output of a PV bus is its solved
-    ``q_gen_bus``: the injection the network draws plus the bus's load."""
-    q_required = sol.q_gen_bus
-    free = grid.pv_gen.copy()
-    free[list(pinned)] = False
-    over = free & (q_required > grid.q_max_bus)
-    under = free & ~over & (q_required < grid.q_min_bus)
-    return {int(i): QLimitSwitch(int(grid.bus_ids[i]), grid.gens_at_bus[i],
-                                 "max" if over[i] else "min",
-                                 float(grid.q_max_bus[i] if over[i] else grid.q_min_bus[i]))
-            for i in np.flatnonzero(over | under)}
+def _q_limit_violations(grid: CompiledGrid, q_gen, pinned):
+    """Masks of the PV buses not yet pinned whose required aggregate reactive
+    output is above its range and below it. The required output of a PV bus
+    is its solved ``q_gen``: the injection the network draws plus the bus's
+    load."""
+    free = grid.pv_gen & ~pinned
+    over = free & (q_gen > grid.q_max_bus)
+    under = free & ~over & (q_gen < grid.q_min_bus)
+    return over, under
 
 
 def compute_branch_flows(case: GridCase, v_mag: np.ndarray, v_ang: np.ndarray, *,

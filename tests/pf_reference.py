@@ -64,7 +64,7 @@ def solve_newton_raphson(case: GridCase, start: PowerFlowSolution | None = None,
     ybus = build_admittance(case)
     p_sched, q_sched, v_target, kinds = _bus_arrays(case)
     pinned: dict[int, QLimitSwitch] = {}
-    budget = opts.q_limit_budget if opts.enforce_q_limits else 0
+    budget = opts.q_limit_budget
     sol = _solve_inner(case, ybus, p_sched, q_sched, v_target, kinds, start, opts, pinned)
     warm = replace(opts, flat_start=False)
     for _ in range(budget):

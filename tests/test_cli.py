@@ -12,6 +12,8 @@ from gridsac.cli import main
 from gridsac.grid_model import bundled_case, serialize_case, with_loads
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
+from conftest import make_three_bus
+
 CASE3 = "src/gridsac/cases/case3.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,6 +72,19 @@ def test_solve_divergence_is_numerical_error(tmp_path, capsys):
     assert "converged: False" in capsys.readouterr().out
 
 
+def test_solve_without_q_limits_holds_the_setpoint(tmp_path, capsys):
+    # Generator 2 has no reactive headroom: with limits its bus leaves the
+    # 1.03 setpoint, without them it holds it.
+    path = tmp_path / "tight.json"
+    path.write_text(serialize_case(make_three_bus(q_max_2=0.0)))
+    bus2 = lambda out: next(line.split()[1] for line in out.splitlines()
+                            if line.split()[:1] == ["2"])
+    assert main(["solve", str(path)]) == 0
+    assert float(bus2(capsys.readouterr().out)) < 1.03
+    assert main(["solve", str(path), "--no-q-limits"]) == 0
+    assert bus2(capsys.readouterr().out) == "1.03000"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -85,6 +100,28 @@ def test_generate_snapshots_cli(tmp_path, capsys):
 def test_generate_snapshots_bad_spec(tmp_path):
     spec = write_spec(tmp_path, n_snapshots=0)
     assert main(["generate-snapshots", str(spec)]) == 2
+
+
+def _run_cli(*args):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "gridsac.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("key, edit", [("seeed", lambda doc: doc.update(seeed=4)),
+                                       ("n_snapshots", lambda doc: doc.pop("n_snapshots"))],
+                         ids=["unknown", "missing"])
+def test_generate_snapshots_spec_with_unknown_or_missing_key(tmp_path, key, edit):
+    spec = write_spec(tmp_path)
+    doc = json.loads(spec.read_text())
+    edit(doc)
+    spec.write_text(json.dumps(doc))
+    proc = _run_cli("generate-snapshots", str(spec))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
 
 
 def test_train_evaluate_retrain_pipeline(tmp_path, capsys):
@@ -165,12 +202,9 @@ def test_evaluate_on_truncated_snapshot_is_data_error(tmp_path):
     for k in range(3):
         (snaps / f"snap_{k:06d}.json").write_text(text)
     (snaps / "snap_000001.json").write_text(text[:len(text) // 2])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridsac.cli", "evaluate", str(checkpoint), str(snaps)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli("evaluate", str(checkpoint), str(snaps))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert "line" in proc.stderr
+    assert "snap_000001.json" in proc.stderr

@@ -13,9 +13,9 @@ from gridsac.grid_model import load_case
 from gridsac.harness import (CampaignConfig, CampaignError, EvaluationReport,
                              ModelRegistry, RegistryEntry, RunConfig,
                              SelectionMetric, SnapshotGenSpec, _selection_key,
-                             evaluate, generate_snapshots, load_snapshots,
-                             periodic_retrain, run_campaign, snapshot_paths,
-                             split_snapshots)
+                             config_from_file, evaluate, generate_snapshots,
+                             load_snapshots, periodic_retrain, run_campaign,
+                             snapshot_paths, split_snapshots)
 from gridsac.power_flow import audit_violations, solve_newton_raphson
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
@@ -253,6 +253,58 @@ def test_campaign_config_validation(tmp_path):
     other = replace(run, run_id="b", train_fraction=0.7)
     with pytest.raises(ValueError, match="train fraction"):
         CampaignConfig(runs=[run, other], output_dir="x")
+
+
+# --- config files ------------------------------------------------------------------
+
+RUN_DOC = {"run_id": "a", "case_path": CASE3, "snapshot_dir": "s"}
+CONFIG_DOCS = {
+    RunConfig: RUN_DOC,
+    CampaignConfig: {"runs": [RUN_DOC], "output_dir": "out"},
+    SnapshotGenSpec: {"base_case_path": CASE3, "output_dir": "out", "n_snapshots": 3},
+}
+
+
+def _config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_config_files_leave_defaults_to_the_dataclasses(tmp_path):
+    run = config_from_file(RunConfig, _config_file(tmp_path, RUN_DOC))
+    assert run == RunConfig(run_id="a", case_path=CASE3, snapshot_dir="s")
+    campaign = config_from_file(CampaignConfig, _config_file(
+        tmp_path, {"runs": [{**RUN_DOC, "sac": {"batch_size": 64}}], "output_dir": "out",
+                   "selection_metric": "MeanTestReward"}))
+    assert campaign == CampaignConfig(
+        runs=[replace(run, sac=SacConfig(batch_size=64))], output_dir="out",
+        selection_metric=SelectionMetric.MEAN_TEST_REWARD)
+    spec = config_from_file(SnapshotGenSpec, _config_file(tmp_path, CONFIG_DOCS[SnapshotGenSpec]))
+    assert spec == SnapshotGenSpec(base_case_path=CASE3, output_dir="out", n_snapshots=3)
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_DOCS), ids=lambda cls: cls.__name__)
+def test_config_file_with_an_unknown_key_is_refused(tmp_path, cls):
+    # A misspelt optional key (train_fracton) used to be dropped silently.
+    path = _config_file(tmp_path, {**CONFIG_DOCS[cls], "train_fracton": 0.7})
+    with pytest.raises(ValueError, match=f"unknown {cls.__name__} keys: train_fracton"):
+        config_from_file(cls, path)
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_DOCS), ids=lambda cls: cls.__name__)
+def test_config_file_with_a_missing_key_is_refused(tmp_path, cls):
+    doc = dict(CONFIG_DOCS[cls])
+    del doc["output_dir" if cls is not RunConfig else "snapshot_dir"]
+    with pytest.raises(ValueError, match=f"missing {cls.__name__} keys: "):
+        config_from_file(cls, _config_file(tmp_path, doc))
+
+
+def test_campaign_file_refuses_an_unknown_key_in_a_run(tmp_path):
+    path = _config_file(tmp_path, {"runs": [{**RUN_DOC, "train_fracton": 0.7}],
+                                   "output_dir": "out"})
+    with pytest.raises(ValueError, match="unknown RunConfig keys: train_fracton"):
+        config_from_file(CampaignConfig, path)
 
 
 # --- evaluate ----------------------------------------------------------------------

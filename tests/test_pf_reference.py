@@ -6,6 +6,8 @@ that drive many reactive-limit switches, by both implementations. Their
 control flow must agree exactly and their numbers to within rounding.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,19 +59,41 @@ def _assert_same(case, new, old):
                          - ref.extract_state(case, old).values)) <= TOL
 
 
-def test_solutions_match_the_loop_reference(case14):
-    switched = 0
-    for snapshot, controlled in _snapshots(case14, N_SNAPSHOTS, seed=2012):
-        cold, cold_ref = solve_newton_raphson(snapshot), ref.solve_newton_raphson(snapshot)
+def _compare_cold_and_warm(case14, n, cold_opts):
+    """Solve ``n`` snapshots cold and then warm under their control action by
+    both implementations; return the number of warm solves that switched a
+    bus and the number of solves that did not converge."""
+    warm_opts = replace(cold_opts, flat_start=False)
+    switched = failed = 0
+    for snapshot, controlled in _snapshots(case14, n, seed=2012):
+        cold = solve_newton_raphson(snapshot, opts=cold_opts)
+        cold_ref = ref.solve_newton_raphson(snapshot, opts=cold_opts)
         _assert_same(snapshot, cold, cold_ref)
         # The warm solve reuses one grid, as an episode does.
         grid = compile_grid(snapshot)
-        warm = solve_newton_raphson(controlled, cold, WARM, grid=grid)
-        warm_ref = ref.solve_newton_raphson(controlled, cold_ref, WARM)
+        warm = solve_newton_raphson(controlled, cold, warm_opts, grid=grid)
+        warm_ref = ref.solve_newton_raphson(controlled, cold_ref, warm_opts)
         _assert_same(controlled, warm, warm_ref)
         switched += bool(warm.q_limit_switches)
+        failed += (not cold.converged) + (not warm.converged)
+    return switched, failed
+
+
+def test_solutions_match_the_loop_reference(case14):
+    switched, _ = _compare_cold_and_warm(case14, N_SNAPSHOTS, SolverOptions())
     # The random setpoints exercise the reactive-limit outer loop.
     assert switched >= N_SNAPSHOTS // 4
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_solutions_match_the_loop_reference_under_a_q_limit_budget(case14, budget):
+    switched, failed = _compare_cold_and_warm(case14, 100, SolverOptions(q_limit_budget=budget))
+    if budget == 0:
+        # Limits not enforced: no bus switches and every solve converges.
+        assert (switched, failed) == (0, 0)
+    else:
+        # Some solves still violate a limit when the budget runs out.
+        assert switched and failed
 
 
 def test_divergence_matches_the_loop_reference(case14):

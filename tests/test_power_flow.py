@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridsac import power_flow
 from gridsac.grid_model import (Branch, Bus, BusKind, GridCase,
                                 with_plant_setpoints)
 from gridsac.power_flow import (PowerFlowSolution, SolverOptions,
@@ -217,7 +218,7 @@ def test_out_of_service_branch_carries_nothing(three_bus):
 
 def test_q_limits_inactive_with_headroom():
     case = make_three_bus(q_max_2=1.0)
-    unlimited = solve_newton_raphson(case, opts=SolverOptions(enforce_q_limits=False))
+    unlimited = solve_newton_raphson(case, opts=SolverOptions(q_limit_budget=0))
     limited = solve_newton_raphson(case)
     assert not limited.q_limit_switches
     assert np.allclose(limited.v_mag, unlimited.v_mag, atol=1e-10)
@@ -238,18 +239,37 @@ def test_q_max_zero_pins_bus_and_drops_voltage():
 
 def test_all_pq_case_is_untouched_by_enforcement(two_bus):
     with_limits = solve_newton_raphson(two_bus)
-    without = solve_newton_raphson(two_bus, opts=SolverOptions(enforce_q_limits=False))
+    without = solve_newton_raphson(two_bus, opts=SolverOptions(q_limit_budget=0))
     assert not with_limits.q_limit_switches
     assert np.array_equal(with_limits.v_mag, without.v_mag)
 
 
 def test_enforce_q_limits_resolves_violation():
     case = make_three_bus(q_max_2=0.0)
-    naive = solve_newton_raphson(case, opts=SolverOptions(enforce_q_limits=False))
+    naive = solve_newton_raphson(case, opts=SolverOptions(q_limit_budget=0))
     resolved = solve_newton_raphson(case, naive, SolverOptions(flat_start=False))
     assert [s.bus for s in resolved.q_limit_switches] == [2]
     assert resolved.converged
     assert resolved.q_gen_bus[case.bus_position[2]] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_branch_flows_are_computed_once_per_solve(case14, monkeypatch):
+    calls = []
+    real = power_flow.compute_branch_flows
+    monkeypatch.setattr(power_flow, "compute_branch_flows",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    rng = np.random.default_rng(4)
+    sols = []
+    for _ in range(20):
+        case = with_plant_setpoints(case14, {pid: rng.uniform(0.9, 1.1)
+                                             for pid in case14.plant_order})
+        sols += [solve_newton_raphson(case, opts=SolverOptions(q_limit_budget=budget))
+                 for budget in (0, 1, 10)]
+    assert len(calls) == len(sols)
+    # Among them: solves that re-solved after a switch, and solves that ran
+    # out of budget.
+    assert any(s.converged and s.q_limit_switches for s in sols)
+    assert any(not s.converged for s in sols)
 
 
 # --- violation audits ---------------------------------------------------------------

@@ -99,11 +99,13 @@ class StepResult:
 class SnapshotEpisode:
     """One snapshot under control: the case, its compiled grid (shared by
     every solve, audit and state extraction of the episode), its solved base
-    point, and the pre-control loss every step is scored against."""
+    point with its limit audit, and the pre-control loss every step is scored
+    against."""
 
     case: GridCase
     grid: CompiledGrid
     base_solution: PowerFlowSolution
+    base_report: ViolationReport
     p_loss_pre: float
     v_set_initial: np.ndarray
     step_count: int = 0
@@ -275,17 +277,18 @@ class GridControlEnv:
                 logger.info("skipping snapshot: non-positive base losses")
                 continue
             break
+        report = audit_violations(case, base, grid=grid)
         self.episode = SnapshotEpisode(
             case=case,
             grid=grid,
             base_solution=base,
+            base_report=report,
             p_loss_pre=base.p_loss_total,
             v_set_initial=plant_setpoints(case),
             max_steps=self.max_steps,
         )
         if self.normalizer is None:
             self.normalizer = Normalizer.identity(state_dim(case))
-        report = audit_violations(case, base, grid=grid)
         reward = compute_reward(base.p_loss_total, self.episode.p_loss_pre, report)
         self._current_case = case
         self._current_solution = base

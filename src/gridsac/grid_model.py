@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -43,7 +43,6 @@ __all__ = [
     "bundled_case",
     "bundled_case_names",
     "derive_admittance_params",
-    "rebase",
     "plant_setpoints",
     "with_plant_setpoints",
     "with_loads",
@@ -267,9 +266,11 @@ def _validate(case: GridCase) -> None:
             raise CaseSemanticError(f"branch {br.id}: negative resistance")
         if br.x == 0:
             raise CaseSemanticError(f"branch {br.id}: zero reactance")
+        if br.r * br.r + br.x * br.x == 0:
+            # r^2 + x^2 can underflow to zero although x != 0.
+            raise CaseSemanticError(f"branch {br.id}: zero series impedance")
         if br.s_max <= 0:
             raise CaseSemanticError(f"branch {br.id}: s_max must be positive")
-        derive_admittance_params(br)
 
     gen_ids = [g.id for g in case.generators]
     if len(set(gen_ids)) != len(gen_ids):
@@ -560,31 +561,6 @@ def bundled_case(name: str) -> GridCase:
 
 
 # --- case derivation --------------------------------------------------------
-
-def rebase(case: GridCase, base_mva: float) -> GridCase:
-    """Convert all per-unit quantities to a new MVA base.
-
-    Rebasing to the current base is the identity (per-unit conversion is
-    idempotent). Voltages are unchanged; powers scale by old/new and
-    impedances by new/old.
-    """
-    if base_mva <= 0:
-        raise ValueError("base_mva must be positive")
-    s = case.base_mva / base_mva  # power scale
-    z = 1.0 / s                   # impedance scale
-    buses = tuple(replace(b, p_load=b.p_load * s, q_load=b.q_load * s,
-                          g_shunt=b.g_shunt * s, b_shunt=b.b_shunt * s)
-                  for b in case.buses)
-    branches = tuple(replace(b, r=b.r * z, x=b.x * z, b_charge=b.b_charge * s,
-                             s_max=b.s_max * s)
-                     for b in case.branches)
-    generators = tuple(replace(g, p_gen=g.p_gen * s, q_gen=g.q_gen * s,
-                               p_min=g.p_min * s, p_max=g.p_max * s,
-                               q_min=g.q_min * s, q_max=g.q_max * s)
-                       for g in case.generators)
-    return replace(case, base_mva=base_mva, buses=buses, branches=branches,
-                   generators=generators)
-
 
 # Cached properties that depend only on ids and topology, which no
 # ``with_*`` derivation changes; a derived case shares them with its source.

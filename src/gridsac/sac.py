@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -35,13 +36,13 @@ __all__ = [
     "SacAgent",
     "UpdateStats",
     "EpisodeMetrics",
-    "RunLog",
     "train",
     "save_checkpoint",
     "load_checkpoint",
     "raw_to_setpoints",
     "setpoints_to_raw",
     "METRICS_HEADER",
+    "check_json_types",
 ]
 
 LOG_STD_MIN = -20.0
@@ -50,10 +51,6 @@ TANH_EPS = 1e-6
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_EVERY = 200     # episodes between intermediate checkpoints
-
-METRICS_HEADER = ("episode", "steps", "reward", "p_loss_pre", "p_loss_final",
-                  "delta_loss_frac", "done_reason", "q1_loss", "q2_loss",
-                  "policy_loss", "alpha")
 
 
 @dataclass
@@ -105,7 +102,9 @@ class SacConfig:
         """Config from a JSON object. Keys of knobs that were removed are
         dropped, so configs and checkpoints written before still load; one
         that had learning-rate decay switched on, or any other unknown key,
-        is refused with ``ValueError``."""
+        is refused with ``ValueError``, as is a value of the wrong JSON type."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object")
         doc = dict(doc)
         if doc.pop("lr_decay_enabled", False):
             raise ValueError("learning-rate decay (lr_decay_enabled) is no longer supported")
@@ -114,7 +113,41 @@ class SacConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown SAC config keys: {', '.join(unknown)}")
+        check_json_types(cls, doc)
         return cls(**doc)
+
+
+# JSON type a config field of each annotated type takes; bool is a subclass
+# of int in Python, but `true` is not a JSON number.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def check_json_types(cls, doc: dict) -> None:
+    """Refuse, with ``ValueError`` naming the key, a value in the JSON object
+    ``doc`` whose type does not match the annotation of the field of the
+    dataclass ``cls`` it sets: ``int``, ``float``, ``bool``, ``str`` or
+    ``list[...]``, each also ``null`` when the annotation admits ``None``.
+    Fields of other types are left to their own parsers. The annotations are
+    read as written (``from __future__ import annotations``)."""
+    for f in fields(cls):
+        if f.name not in doc:
+            continue
+        kind, *alternatives = (k.strip() for k in str(f.type).split("|"))
+        optional = "None" in alternatives
+        check = _JSON_TYPES.get(kind.partition("[")[0])
+        value = doc[f.name]
+        if check is None or (optional and value is None):
+            continue
+        expected, matches = check
+        if not matches(value):
+            raise ValueError(f"{cls.__name__} key {f.name} must be {expected}"
+                             f"{' or null' if optional else ''}, not {json.dumps(value)}")
 
 
 def _check_range(name, value, lo, hi):
@@ -198,7 +231,6 @@ class UpdateStats:
     q1_loss: float
     q2_loss: float
     policy_loss: float
-    alpha_loss: float
     alpha: float
 
 
@@ -235,6 +267,21 @@ def setpoints_to_raw(v_set: np.ndarray) -> np.ndarray:
     mid = 0.5 * (V_SET_MAX + V_SET_MIN)
     half = 0.5 * (V_SET_MAX - V_SET_MIN)
     return (np.asarray(v_set, dtype=float) - mid) / half
+
+
+def _values(state: StateVector | np.ndarray) -> np.ndarray:
+    return state.values if isinstance(state, StateVector) else np.asarray(state, dtype=float)
+
+
+def _squashed_gaussian(mean: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
+    """Reparameterized tanh-Gaussian action a = tanh(mean + std * eps) and its
+    log-density: the Gaussian log-density of the pre-squash value minus the
+    tanh change-of-variables correction sum(log(1 - a^2 + 1e-6)) over the
+    last axis (Haarnoja et al., arXiv 1812.05905, App. C)."""
+    a = np.tanh(mean + np.exp(log_std) * eps)
+    logp = (-0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * eps ** 2
+            - np.log(1.0 - a ** 2 + TANH_EPS)).sum(axis=-1)
+    return a, logp
 
 
 class SacAgent:
@@ -290,15 +337,9 @@ class SacAgent:
         return mean, log_std, mask, tape
 
     def _sample(self, states: np.ndarray, rng: np.random.Generator):
-        """Reparameterized policy sample: noise, pre-squash u, action, log-prob."""
-        mean, log_std, mask, tape = self._policy_stats(states)
-        std = np.exp(log_std)
-        eps = rng.standard_normal(mean.shape)
-        u = mean + std * eps
-        a = np.tanh(u)
-        log_prob = (-0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * eps ** 2
-                    - np.log(1.0 - a ** 2 + TANH_EPS)).sum(axis=-1)
-        return mean, log_std, mask, tape, eps, u, a, log_prob
+        """Reparameterized policy sample: squashed actions and their log-probs."""
+        mean, log_std, _, _ = self._policy_stats(states)
+        return _squashed_gaussian(mean, log_std, rng.standard_normal(mean.shape))
 
     def select_action(self, state: StateVector | np.ndarray,
                       mode: SelectMode = SelectMode.DETERMINISTIC,
@@ -308,7 +349,7 @@ class SacAgent:
         Deterministic mode squashes the policy mean and never touches any
         RNG; stochastic mode draws a reparameterized sample.
         """
-        values = state.values if isinstance(state, StateVector) else np.asarray(state, dtype=float)
+        values = _values(state)
         if values.shape != (self.state_dim,):
             raise ValueError(f"state has shape {values.shape}, expected ({self.state_dim},)")
         out, _ = forward(self.policy, values)
@@ -320,27 +361,22 @@ class SacAgent:
         else:
             log_std = np.clip(out[self.action_dim:], LOG_STD_MIN, LOG_STD_MAX)
             gen = rng if rng is not None else self.rng
-            a = np.tanh(mean + np.exp(log_std) * gen.standard_normal(self.action_dim))
+            a, _ = _squashed_gaussian(mean, log_std, gen.standard_normal(self.action_dim))
         return Action(v_set_per_plant=raw_to_setpoints(a))
 
     def sample_raw(self, state: StateVector | np.ndarray,
                    rng: np.random.Generator | None = None) -> np.ndarray:
         """One stochastic squashed action in [-1, 1]^d for the given state."""
-        values = state.values if isinstance(state, StateVector) else np.asarray(state, dtype=float)
         gen = rng if rng is not None else self.rng
-        return self._sample(values[None, :], gen)[6][0]
+        return self._sample(_values(state)[None, :], gen)[0][0]
 
     def log_prob(self, state: StateVector | np.ndarray, raw_action_u: np.ndarray) -> float:
         """Log-density of the squashed action tanh(u) under the policy at
         ``state``: Gaussian log-density of u minus the tanh change-of-variables
         correction sum(log(1 - tanh(u)^2 + 1e-6))."""
-        values = state.values if isinstance(state, StateVector) else np.asarray(state, dtype=float)
-        u = np.asarray(raw_action_u, dtype=float)
-        mean, log_std, _, _ = self._policy_stats(values[None, :])
-        z = (u - mean[0]) / np.exp(log_std[0])
-        terms = (-0.5 * np.log(2.0 * np.pi) - log_std[0] - 0.5 * z ** 2
-                 - np.log(1.0 - np.tanh(u) ** 2 + TANH_EPS))
-        return float(terms.sum())
+        mean, log_std, _, _ = self._policy_stats(_values(state)[None, :])
+        eps = (np.asarray(raw_action_u, dtype=float) - mean[0]) / np.exp(log_std[0])
+        return float(_squashed_gaussian(mean[0], log_std[0], eps)[1])
 
     # --- learning --------------------------------------------------------
 
@@ -349,7 +385,7 @@ class SacAgent:
         y = r + gamma * (1 - done) * (min_i Q_target_i(s', a') - alpha * log pi(a'|s'))
         with a' freshly sampled from the current policy at s'."""
         gen = rng if rng is not None else self.rng
-        _, _, _, _, _, _, a_next, logp_next = self._sample(batch.next_states, gen)
+        a_next, logp_next = self._sample(batch.next_states, gen)
         sa = np.concatenate([batch.next_states, a_next], axis=1)
         q1t, _ = forward(self.q1_target, sa)
         q2t, _ = forward(self.q2_target, sa)
@@ -368,11 +404,8 @@ class SacAgent:
         b = states.shape[0]
         alpha = self.alpha
         mean, log_std, mask, tape = self._policy_stats(states)
+        a, logp = _squashed_gaussian(mean, log_std, eps)
         std = np.exp(log_std)
-        u = mean + std * eps
-        a = np.tanh(u)
-        logp = (-0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * eps ** 2
-                - np.log(1.0 - a ** 2 + TANH_EPS)).sum(axis=-1)
 
         sa_pi = np.concatenate([states, a], axis=1)
         q1_pi, tape1 = forward(self.q1, sa_pi)
@@ -419,20 +452,20 @@ class SacAgent:
 
         # Temperature: descend J(alpha) = mean(-alpha * (log pi + target_entropy)).
         ent_err = float(np.mean(logp + self.target_entropy))
-        alpha_loss = -alpha * ent_err
         self.log_alpha = self.alpha_opt.update(self.log_alpha, -alpha * ent_err)
 
         polyak_update(self.q1_target, self.q1, self.config.polyak)
         polyak_update(self.q2_target, self.q2, self.config.polyak)
         return UpdateStats(q1_loss=q_losses[0], q2_loss=q_losses[1],
-                           policy_loss=policy_loss, alpha_loss=alpha_loss,
-                           alpha=self.alpha)
+                           policy_loss=policy_loss, alpha=self.alpha)
 
 
 # --- training loop ---------------------------------------------------------
 
 @dataclass
 class EpisodeMetrics:
+    """One row of ``metrics.csv``; the columns are the fields, in order."""
+
     episode: int
     steps: int
     reward: float
@@ -446,67 +479,53 @@ class EpisodeMetrics:
     alpha: float
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.episode), str(self.steps), _fmt(self.reward),
-            _fmt(self.p_loss_pre), _fmt(self.p_loss_final),
-            _fmt(self.delta_loss_frac), self.done_reason,
-            _fmt(self.q1_loss), _fmt(self.q2_loss), _fmt(self.policy_loss),
-            _fmt(self.alpha),
-        ])
+        """Floats as the ``repr`` of a Python float, everything else as ``str``."""
+        return ",".join(repr(float(getattr(self, f.name))) if f.type == "float"
+                        else str(getattr(self, f.name)) for f in fields(self))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+METRICS_HEADER = tuple(f.name for f in fields(EpisodeMetrics))
 
 
-@dataclass
-class RunLog:
-    """Where a training run writes its metrics and checkpoints."""
+def train(agent: SacAgent, env: GridControlEnv,
+          out_dir: str | Path | None = None) -> list[EpisodeMetrics]:
+    """Run episodes against ``env`` under ``agent.config`` until the env's
+    snapshot stream is exhausted or ``n_episodes`` is reached.
 
-    metrics_path: Path | None = None
-    checkpoint_dir: Path | None = None
+    An episode runs until the env reports it done, so ``env.max_steps`` is
+    its step budget. Actions are uniform-random until ``start_steps`` total
+    environment steps, then sampled from the policy. Gradient updates run
+    ``updates_per_step`` times per environment step once the episode index and
+    the buffer size both reach ``batch_size``. Transitions store the squashed
+    action.
 
-    def open_metrics(self):
-        if self.metrics_path is None:
-            return None
-        self.metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(self.metrics_path, "w")
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        return fh
-
-
-def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
-          run_log: RunLog | None = None,
-          normalizer: Normalizer | None = None) -> list[EpisodeMetrics]:
-    """Run episodes against ``env`` until its snapshot stream is exhausted or
-    ``config.n_episodes`` is reached.
-
-    Actions are uniform-random until ``start_steps`` total environment steps,
-    then sampled from the policy. Gradient updates run ``updates_per_step``
-    times per environment step once the episode index and the buffer size both
-    reach ``batch_size``. Transitions store the squashed action.
+    With ``out_dir``, writes one ``metrics.csv`` row per episode and
+    checkpoints, with ``env.normalizer``, to ``<out_dir>/checkpoints/``:
+    ``ep<N>.json`` every :data:`CHECKPOINT_EVERY` episodes and ``final.json``
+    at the end.
     """
-    run_log = run_log or RunLog()
+    config = agent.config
+    buffer = ReplayBuffer(config.replay_capacity, agent.state_dim, agent.action_dim)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     metrics: list[EpisodeMetrics] = []
-    buffer: ReplayBuffer | None = None
     total_steps = 0
     episode = 0
-    fh = run_log.open_metrics()
-    try:
+    with open(out / "metrics.csv", "w") if out is not None else nullcontext() as fh:
+        if fh is not None:
+            fh.write(",".join(METRICS_HEADER) + "\n")
         while config.n_episodes is None or episode < config.n_episodes:
             try:
                 state, _, p_loss_pre, _, _ = env.reset()
             except SnapshotStreamExhausted:
                 break
-            if buffer is None:
-                buffer = ReplayBuffer(config.replay_capacity, len(state), agent.action_dim)
             ep_reward = 0.0
             steps = 0
             last_stats: UpdateStats | None = None
             p_loss_final = float("nan")
             delta_final = float("nan")
-            reason = "Running"
-            for t in range(config.max_episode_steps):
+            while True:
                 if total_steps < config.start_steps:
                     a_raw = agent.rng.uniform(-1.0, 1.0, agent.action_dim)
                 else:
@@ -523,7 +542,6 @@ def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
                 if np.isfinite(result.info["p_loss"]):
                     p_loss_final = result.info["p_loss"]
                     delta_final = result.info["delta_p_loss_frac"]
-                reason = result.done_reason.value
                 if episode >= config.batch_size and len(buffer) >= config.batch_size:
                     for _ in range(config.updates_per_step):
                         last_stats = agent.update(buffer)
@@ -532,7 +550,7 @@ def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
             row = EpisodeMetrics(
                 episode=episode, steps=steps, reward=ep_reward,
                 p_loss_pre=p_loss_pre, p_loss_final=p_loss_final,
-                delta_loss_frac=delta_final, done_reason=reason,
+                delta_loss_frac=delta_final, done_reason=result.done_reason.value,
                 q1_loss=last_stats.q1_loss if last_stats else float("nan"),
                 q2_loss=last_stats.q2_loss if last_stats else float("nan"),
                 policy_loss=last_stats.policy_loss if last_stats else float("nan"),
@@ -542,16 +560,11 @@ def train(agent: SacAgent, env: GridControlEnv, config: SacConfig,
             if fh is not None:
                 fh.write(row.csv_row() + "\n")
             episode += 1
-            if (run_log.checkpoint_dir is not None
-                    and episode % CHECKPOINT_EVERY == 0):
-                save_checkpoint(run_log.checkpoint_dir / f"ep{episode:06d}.json",
-                                agent, normalizer or env.normalizer)
-    finally:
-        if fh is not None:
-            fh.close()
-    if run_log.checkpoint_dir is not None:
-        save_checkpoint(run_log.checkpoint_dir / "final.json",
-                        agent, normalizer or env.normalizer)
+            if out is not None and episode % CHECKPOINT_EVERY == 0:
+                save_checkpoint(out / "checkpoints" / f"ep{episode:06d}.json",
+                                agent, env.normalizer)
+    if out is not None:
+        save_checkpoint(out / "checkpoints" / "final.json", agent, env.normalizer)
     return metrics
 
 

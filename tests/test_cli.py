@@ -124,6 +124,37 @@ def test_generate_snapshots_spec_with_unknown_or_missing_key(tmp_path, key, edit
     assert key in proc.stderr
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("generate-snapshots", "n_snapshots", "3"),
+    ("train", "train_fraction", "0.8"),
+    ("train", "batch_size", "64"),
+])
+def test_config_value_of_the_wrong_json_type_is_a_data_error(tmp_path, command, key, value):
+    if command == "generate-snapshots":
+        path = write_spec(tmp_path, **{key: value})
+    else:
+        doc = micro_run_doc(tmp_path / "snaps")
+        (doc["sac"] if key in doc["sac"] else doc)[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+    proc = _run_cli(command, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert f"key {key} must be" in proc.stderr
+
+
+def test_solve_case_with_underflowing_impedance_names_the_file(tmp_path, capsys):
+    doc = json.loads(serialize_case(bundled_case("case3")))
+    doc["branches"][0].update(r=0.0, x=1e-200)
+    path = tmp_path / "tiny_x.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "zero series impedance" in err
+
+
 def test_train_evaluate_retrain_pipeline(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["generate-snapshots", str(spec)]) == 0

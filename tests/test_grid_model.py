@@ -1,11 +1,9 @@
 """Case model: parsing, serialization, validation, derived admittances."""
 
 import json
-import math
 from dataclasses import replace
 from importlib import resources
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,7 @@ from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
                                 CaseSyntaxError, Generator, GridCase, Plant,
                                 bundled_case, bundled_case_names,
                                 _case_document, derive_admittance_params,
-                                parse_case, rebase, serialize_case,
+                                parse_case, serialize_case,
                                 with_generation, with_loads,
                                 with_plant_setpoints)
 
@@ -65,6 +63,8 @@ def test_parse_syntax_error_reports_position():
     (lambda d: d["buses"][0].update(kind="PQ"), "missing slack"),
     (lambda d: d["branches"][0].update(to_bus=99), "dangling"),
     (lambda d: d["branches"][0].update(x=0.0), "zero reactance"),
+    # x != 0, but r^2 + x^2 underflows to 0.
+    (lambda d: d["branches"][0].update(r=0.0, x=1e-200), "zero series impedance"),
     (lambda d: d["branches"][0].update(r=-0.1), "negative resistance"),
     (lambda d: d["buses"][0].update(v_min=1.1, v_max=1.0), "v_min"),
     (lambda d: d.update(monitored_buses=[1, 2, 7]), "monitored bus"),
@@ -266,22 +266,6 @@ def test_admittance_zero_impedance_rejected():
         derive_admittance_params(Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.0))
 
 
-# --- per-unit rebase ------------------------------------------------------------
-
-def test_rebase_same_base_is_identity(case14):
-    assert rebase(case14, case14.base_mva) == case14
-
-
-def test_rebase_roundtrip(case3):
-    other = rebase(case3, 37.5)
-    assert other.bus_by_id[3].p_load == pytest.approx(0.9 * 100.0 / 37.5)
-    back = rebase(other, 100.0)
-    for original, returned in zip(case3.buses, back.buses):
-        assert returned.p_load == pytest.approx(original.p_load, rel=1e-12)
-    for original, returned in zip(case3.branches, back.branches):
-        assert returned.x == pytest.approx(original.x, rel=1e-12)
-
-
 def test_with_plant_setpoints_immutable(case3):
     before = serialize_case(case3)
     derived = with_plant_setpoints(case3, {1: 1.05})
@@ -340,24 +324,12 @@ def test_generated_cases_roundtrip_exactly(case):
     # construction already enforced the invariants; serialization is lossless
     recovered = parse_case(serialize_case(case))
     assert recovered == case
-    assert math.isclose(rebase(case, case.base_mva).base_mva, case.base_mva)
 
 
 @given(grid_cases())
 @settings(max_examples=60, deadline=None)
 def test_generated_case_text_loads_to_its_document(case):
     assert json.loads(serialize_case(case)) == _case_document(case)
-
-
-@given(grid_cases(), st.floats(min_value=10.0, max_value=500.0))
-@settings(max_examples=30, deadline=None)
-def test_rebase_scales_power_quantities(case, new_base):
-    scaled = rebase(case, new_base)
-    ratio = case.base_mva / new_base
-    for b0, b1 in zip(case.buses, scaled.buses):
-        assert np.isclose(b1.p_load, b0.p_load * ratio)
-    for br0, br1 in zip(case.branches, scaled.branches):
-        assert np.isclose(br1.r, br0.r / ratio)
 
 
 # --- property: with_* derivations validate like construction -------------------

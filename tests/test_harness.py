@@ -300,6 +300,30 @@ def test_config_file_with_a_missing_key_is_refused(tmp_path, cls):
         config_from_file(cls, _config_file(tmp_path, doc))
 
 
+@pytest.mark.parametrize("cls, key, value", [
+    (SnapshotGenSpec, "n_snapshots", "3"),
+    (SnapshotGenSpec, "n_snapshots", 3.0),
+    (SnapshotGenSpec, "seed", True),
+    (SnapshotGenSpec, "per_load_scaling", 1),
+    (SnapshotGenSpec, "load_scale_low", "0.8"),
+    (SnapshotGenSpec, "output_dir", None),
+    (RunConfig, "train_fraction", "0.8"),
+    (RunConfig, "run_id", 7),
+    (CampaignConfig, "runs", RUN_DOC),
+    (CampaignConfig, "max_workers", None),
+])
+def test_config_file_with_a_value_of_the_wrong_json_type_is_refused(tmp_path, cls, key, value):
+    path = _config_file(tmp_path, {**CONFIG_DOCS[cls], key: value})
+    with pytest.raises(ValueError, match=f"{cls.__name__} key {key} must be"):
+        config_from_file(cls, path)
+
+
+def test_config_file_takes_an_integer_for_a_float_field(tmp_path):
+    spec = config_from_file(SnapshotGenSpec, _config_file(
+        tmp_path, {**CONFIG_DOCS[SnapshotGenSpec], "load_scale_high": 2}))
+    assert spec.load_scale_high == 2
+
+
 def test_campaign_file_refuses_an_unknown_key_in_a_run(tmp_path):
     path = _config_file(tmp_path, {"runs": [{**RUN_DOC, "train_fracton": 0.7}],
                                    "output_dir": "out"})

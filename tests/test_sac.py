@@ -140,6 +140,15 @@ def test_stochastic_sequence_reproducible_under_seed():
     assert all(np.array_equal(a, b) for a, b in zip(*seqs))
 
 
+@pytest.mark.parametrize("k", [0, 1, 7, 123])
+def test_stochastic_selection_is_the_mapped_raw_sample(k):
+    agent = make_agent(seed=31)
+    state = np.linspace(-1, 1, STATE_DIM)
+    action = agent.select_action(state, SelectMode.STOCHASTIC, rng=np.random.default_rng(k))
+    raw = agent.sample_raw(state, rng=np.random.default_rng(k))
+    assert np.array_equal(action.v_set_per_plant, raw_to_setpoints(raw))
+
+
 def test_deterministic_selection_ignores_rng_state():
     agent = make_agent(seed=7)
     state = np.linspace(-1, 1, STATE_DIM)
@@ -350,17 +359,16 @@ def toy_env(n_snaps=6, max_steps=10, seed=0):
 
 
 def test_train_zero_episodes_is_noop():
-    agent = make_agent()
+    agent = make_agent(n_episodes=0)
     before = network_to_flat(agent.policy).copy()
-    metrics = train(agent, toy_env(), SacConfig(n_episodes=0, random_seed=11))
+    metrics = train(agent, toy_env())
     assert metrics == []
     assert np.array_equal(network_to_flat(agent.policy), before)
 
 
 def test_train_stops_when_stream_exhausted():
-    agent = SacAgent.create(12, 2, SacConfig(random_seed=11))
-    cfg = SacConfig(random_seed=11, n_episodes=50)
-    metrics = train(agent, toy_env(n_snaps=4), cfg)
+    agent = SacAgent.create(12, 2, SacConfig(random_seed=11, n_episodes=50))
+    metrics = train(agent, toy_env(n_snaps=4))
     assert len(metrics) == 4
 
 
@@ -369,24 +377,57 @@ def test_train_metrics_deterministic_under_seed(tmp_path):
     for run in range(2):
         cfg = SacConfig(random_seed=19, batch_size=32, start_steps=32)
         agent = SacAgent.create(12, 2, cfg)
-        from gridsac.sac import RunLog
-        log = RunLog(metrics_path=tmp_path / f"m{run}.csv")
-        train(agent, toy_env(n_snaps=8, seed=3), cfg, log)
-        rows.append((tmp_path / f"m{run}.csv").read_bytes())
+        train(agent, toy_env(n_snaps=8, seed=3), tmp_path / f"run{run}")
+        rows.append((tmp_path / f"run{run}" / "metrics.csv").read_bytes())
     assert rows[0] == rows[1]
 
 
 def test_train_metrics_schema(tmp_path):
-    from gridsac.sac import METRICS_HEADER, RunLog
+    from gridsac.sac import METRICS_HEADER
     agent = SacAgent.create(12, 2, SacConfig(random_seed=11))
-    log = RunLog(metrics_path=tmp_path / "metrics.csv")
-    train(agent, toy_env(n_snaps=3), SacConfig(random_seed=11), log)
+    train(agent, toy_env(n_snaps=3), tmp_path)
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_HEADER)
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[6] in {"Solved", "Diverged", "MaxSteps", "Running"}
+
+
+def test_train_writes_metrics_and_a_final_checkpoint_with_the_env_normalizer(tmp_path):
+    from gridsac.environment import Normalizer
+    env = toy_env(n_snaps=3)
+    env.normalizer = Normalizer(mean=np.full(12, 0.5), scale=np.full(12, 2.0))
+    agent = SacAgent.create(12, 2, SacConfig(random_seed=11))
+    metrics = train(agent, env, tmp_path / "run")
+    rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+    assert rows == [m.csv_row() for m in metrics]
+    assert sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir()) == ["final.json"]
+    loaded, normalizer = load_checkpoint(tmp_path / "run" / "checkpoints" / "final.json")
+    assert np.array_equal(normalizer.mean, env.normalizer.mean)
+    assert np.array_equal(normalizer.scale, env.normalizer.scale)
+    assert np.array_equal(loaded.policy.params, agent.policy.params)
+
+
+@pytest.mark.parametrize("max_steps", [3, 12])
+def test_env_max_steps_is_the_only_episode_bound(max_steps):
+    # The agent's max_episode_steps (10) bounds nothing inside train: an
+    # episode runs until the env reports done.
+    agent = SacAgent.create(12, 2, SacConfig(random_seed=11, max_episode_steps=10))
+    metrics = train(agent, toy_env(n_snaps=6, max_steps=max_steps))
+    assert max(m.steps for m in metrics) == max_steps
+    assert all(m.done_reason != "Running" for m in metrics)
+
+
+def test_episode_metrics_row_follows_the_header():
+    from gridsac.sac import METRICS_HEADER, EpisodeMetrics
+    row = EpisodeMetrics(episode=3, steps=2, reward=1.5, p_loss_pre=0.1, p_loss_final=0.2,
+                         delta_loss_frac=float("nan"), done_reason="Solved", q1_loss=1e-20,
+                         q2_loss=np.float64(0.25), policy_loss=-2.0, alpha=0.1)
+    assert METRICS_HEADER == ("episode", "steps", "reward", "p_loss_pre", "p_loss_final",
+                              "delta_loss_frac", "done_reason", "q1_loss", "q2_loss",
+                              "policy_loss", "alpha")
+    assert row.csv_row() == "3,2,1.5,0.1,0.2,nan,Solved,1e-20,0.25,-2.0,0.1"
 
 
 # --- checkpoints ----------------------------------------------------------------------------
@@ -451,6 +492,21 @@ def test_checkpoint_trained_with_lr_decay_is_refused(tmp_path):
     path = _checkpoint_with_config(tmp_path, lr_decay_rate=0.15, lr_decay_enabled=True)
     with pytest.raises(ValueError, match="lr_decay_enabled"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("batch_size", "64"), ("batch_size", 64.0),
+                                        ("gamma", False), ("n_episodes", "5"),
+                                        ("target_entropy", "-5")])
+def test_config_value_of_the_wrong_json_type_is_refused(key, value):
+    with pytest.raises(ValueError, match=f"SacConfig key {key} must be"):
+        SacConfig.from_dict({key: value})
+
+
+def test_config_takes_null_for_optional_fields_and_integers_for_floats():
+    cfg = SacConfig.from_dict({"n_episodes": None, "target_entropy": None, "gamma": 1})
+    assert cfg == SacConfig(gamma=1)
+    with pytest.raises(ValueError, match="SacConfig must be a JSON object"):
+        SacConfig.from_dict([["batch_size", 64]])
 
 
 def test_checkpoint_with_unknown_config_key_is_refused(tmp_path):

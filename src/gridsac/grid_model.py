@@ -11,18 +11,29 @@ JSON whitespace, so files in other layouts (such as ``json.dumps(doc,
 indent=2)``) load to the same case. :func:`save_case` is a plain write: a
 file torn by a crash ends before the top-level object closes, and loading
 it raises :class:`CaseSyntaxError` with the line it ends on.
+
+Case files and config files are read under one rule, by :func:`from_json`:
+each value has the JSON type of its dataclass field (an integer for an
+``int``, any number for a ``float``, ``true``/``false`` for a ``bool``, a
+string, one of an enum's values, an object, an array, and ``null`` only
+where the field is optional), and an unknown or missing key is refused. A
+case that breaks the rule raises :class:`CaseSemanticError`, a config
+``ValueError``; both exit the command line with code 2.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import os
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache, cached_property, partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import (Any, Callable, Mapping, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -248,7 +259,7 @@ def _validate(case: GridCase) -> None:
             raise CaseSemanticError(f"bus {b.id}: v_min must be < v_max")
         for name in ("v_mag", "v_ang", "p_load", "q_load", "g_shunt", "b_shunt"):
             v = getattr(b, name)
-            if not _finite(v):
+            if not math.isfinite(v):
                 raise CaseSemanticError(f"bus {b.id}: {name} not finite")
 
     branch_ids = [b.id for b in case.branches]
@@ -260,7 +271,7 @@ def _validate(case: GridCase) -> None:
         if br.from_bus == br.to_bus:
             raise CaseSemanticError(f"branch {br.id}: from_bus equals to_bus")
         for name in ("r", "x", "b_charge", "s_max"):
-            if not _finite(getattr(br, name)):
+            if not math.isfinite(getattr(br, name)):
                 raise CaseSemanticError(f"branch {br.id}: {name} not finite")
         if br.r < 0:
             raise CaseSemanticError(f"branch {br.id}: negative resistance")
@@ -284,7 +295,7 @@ def _validate(case: GridCase) -> None:
         if g.plant not in plant_ids:
             raise CaseSemanticError(f"generator {g.id}: dangling plant reference")
         for name in ("p_gen", "q_gen", "p_min", "p_max", "q_min", "q_max", "v_set"):
-            if not _finite(getattr(g, name)):
+            if not math.isfinite(getattr(g, name)):
                 raise CaseSemanticError(f"generator {g.id}: {name} not finite")
         if not (g.q_min < g.q_max):
             raise CaseSemanticError(f"generator {g.id}: q_min must be < q_max")
@@ -337,13 +348,9 @@ def _check_connected(case: GridCase) -> None:
         raise CaseSemanticError(f"buses {missing} disconnected from bus {start}")
 
 
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
-
-
 def _check_finite(what: str, ident: int, name: str, value: float) -> None:
     """The check and message of :func:`_validate` for one finite field."""
-    if not _finite(value):
+    if not math.isfinite(value):
         raise CaseSemanticError(f"{what} {ident}: {name} not finite")
 
 
@@ -359,158 +366,48 @@ def _check_v_set_range(g: Generator, v_set: float) -> None:
 
 # --- case file format -------------------------------------------------------
 
-_BUS_FIELDS = ("id", "kind", "v_mag", "v_ang", "p_load", "q_load",
-               "g_shunt", "b_shunt", "v_min", "v_max")
-_BRANCH_FIELDS = ("id", "from_bus", "to_bus", "r", "x", "b_charge", "s_max", "in_service")
-_GEN_FIELDS = ("id", "bus", "p_gen", "q_gen", "p_min", "p_max", "q_min", "q_max", "v_set", "plant")
-_PLANT_FIELDS = ("id", "name", "generators")
-_TOP_KEYS = ("base_mva", "buses", "branches", "generators", "plants",
-             "monitored_buses", "monitored_branches")
-# Top-level lists written one record per line by :func:`serialize_case`.
-_RECORD_KEYS = ("buses", "branches", "generators", "plants")
-
-_BUS_DEFAULTS: dict[str, Any] = {
-    "v_mag": 1.0, "v_ang": 0.0, "p_load": 0.0, "q_load": 0.0,
-    "g_shunt": 0.0, "b_shunt": 0.0, "v_min": DEFAULT_V_MIN, "v_max": DEFAULT_V_MAX,
-}
-_BRANCH_DEFAULTS: dict[str, Any] = {"b_charge": 0.0, "s_max": 1.0, "in_service": True}
-
-
 def parse_case(text: str) -> GridCase:
     """Parse case-file text into a validated :class:`GridCase`.
 
     Values in the file are per-unit on the declared ``base_mva`` and are
     stored as given. Raises :class:`CaseSyntaxError` for malformed text (with
-    position) and :class:`CaseSemanticError` for invariant violations.
+    position) and :class:`CaseSemanticError` for a value of the wrong JSON
+    type (see :func:`from_json`) or an invariant violation.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise CaseSemanticError("case document must be an object")
-    unknown = set(doc) - set(_TOP_KEYS)
-    if unknown:
-        raise CaseSemanticError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = [k for k in _TOP_KEYS if k not in doc]
-    if missing:
-        raise CaseSemanticError(f"missing top-level keys: {missing}")
-
-    buses = tuple(_parse_component(o, "bus", _BUS_FIELDS, _BUS_DEFAULTS, _make_bus)
-                  for o in doc["buses"])
-    branches = tuple(_parse_component(o, "branch", _BRANCH_FIELDS, _BRANCH_DEFAULTS, _make_branch)
-                     for o in doc["branches"])
-    generators = tuple(_parse_component(o, "generator", _GEN_FIELDS, {}, _make_generator)
-                       for o in doc["generators"])
-    plants = tuple(_parse_component(o, "plant", _PLANT_FIELDS, {}, _make_plant)
-                   for o in doc["plants"])
-    return GridCase(
-        base_mva=float(doc["base_mva"]),
-        buses=buses,
-        branches=branches,
-        generators=generators,
-        plants=plants,
-        monitored_buses=tuple(int(i) for i in doc["monitored_buses"]),
-        monitored_branches=tuple(int(i) for i in doc["monitored_branches"]),
-    )
-
-
-def _parse_component(obj, what, fields, defaults, make):
-    if not isinstance(obj, dict):
-        raise CaseSemanticError(f"each {what} must be an object")
-    unknown = obj.keys() - fields
-    if unknown:
-        raise CaseSemanticError(f"{what}: unknown fields {sorted(unknown)}")
-    values = {**defaults, **obj}
-    # Unknown names were refused above, so a short dict lacks a field.
-    if len(values) < len(fields):
-        missing = next(name for name in fields if name not in values)
-        raise CaseSemanticError(f"{what}: missing field {missing!r}")
+    except ValueError as exc:     # an integer beyond Python's digit limit
+        raise CaseSyntaxError(str(exc)) from exc
     try:
-        return make(values)
-    except (TypeError, ValueError) as exc:
-        raise CaseSemanticError(f"{what}: {exc}") from exc
+        return from_json(GridCase, doc)
+    except ValueError as exc:
+        raise CaseSemanticError(str(exc)) from exc
 
 
-def _make_bus(v) -> Bus:
-    return Bus(
-        id=int(v["id"]), kind=BusKind(v["kind"]),
-        v_mag=float(v["v_mag"]), v_ang=float(v["v_ang"]),
-        p_load=float(v["p_load"]), q_load=float(v["q_load"]),
-        g_shunt=float(v["g_shunt"]), b_shunt=float(v["b_shunt"]),
-        v_min=float(v["v_min"]), v_max=float(v["v_max"]),
-    )
-
-
-def _make_branch(v) -> Branch:
-    if not isinstance(v["in_service"], bool):
-        raise ValueError("in_service must be a boolean")
-    return Branch(
-        id=int(v["id"]), from_bus=int(v["from_bus"]), to_bus=int(v["to_bus"]),
-        r=float(v["r"]), x=float(v["x"]), b_charge=float(v["b_charge"]),
-        s_max=float(v["s_max"]), in_service=v["in_service"],
-    )
-
-
-def _make_generator(v) -> Generator:
-    return Generator(
-        id=int(v["id"]), bus=int(v["bus"]),
-        p_gen=float(v["p_gen"]), q_gen=float(v["q_gen"]),
-        p_min=float(v["p_min"]), p_max=float(v["p_max"]),
-        q_min=float(v["q_min"]), q_max=float(v["q_max"]),
-        v_set=float(v["v_set"]), plant=int(v["plant"]),
-    )
-
-
-def _make_plant(v) -> Plant:
-    return Plant(id=int(v["id"]), name=str(v["name"]),
-                 generators=tuple(int(g) for g in v["generators"]))
-
-
-def _case_document(case: GridCase) -> dict[str, Any]:
-    """The JSON document of a case, in the field order of the case file."""
-    return {
-        "base_mva": case.base_mva,
-        "buses": [
-            {"id": b.id, "kind": b.kind.value, "v_mag": b.v_mag, "v_ang": b.v_ang,
-             "p_load": b.p_load, "q_load": b.q_load, "g_shunt": b.g_shunt,
-             "b_shunt": b.b_shunt, "v_min": b.v_min, "v_max": b.v_max}
-            for b in case.buses
-        ],
-        "branches": [
-            {"id": b.id, "from_bus": b.from_bus, "to_bus": b.to_bus, "r": b.r,
-             "x": b.x, "b_charge": b.b_charge, "s_max": b.s_max,
-             "in_service": b.in_service}
-            for b in case.branches
-        ],
-        "generators": [
-            {"id": g.id, "bus": g.bus, "p_gen": g.p_gen, "q_gen": g.q_gen,
-             "p_min": g.p_min, "p_max": g.p_max, "q_min": g.q_min,
-             "q_max": g.q_max, "v_set": g.v_set, "plant": g.plant}
-            for g in case.generators
-        ],
-        "plants": [
-            {"id": p.id, "name": p.name, "generators": list(p.generators)}
-            for p in case.plants
-        ],
-        "monitored_buses": list(case.monitored_buses),
-        "monitored_branches": list(case.monitored_branches),
-    }
+_CASE_FIELDS = tuple(f.name for f in fields(GridCase))
+# The GridCase fields that hold records, written one record per line.
+_RECORD_LISTS = frozenset(name for name, tp in get_type_hints(GridCase).items()
+                          if any(is_dataclass(arg) for arg in get_args(tp)))
 
 
 def serialize_case(case: GridCase) -> str:
     """Emit the canonical case-file text; exact inverse of :func:`parse_case`.
 
+    Each field of the case, and each field of a record, is written under its
+    name in field order; a record is the dict of its own fields (``vars``).
     Every value goes through ``json.dumps`` without ``indent``, which keeps
     it on CPython's C encoder; the layout is in the module docstring.
     """
     lines = []
-    for key, value in _case_document(case).items():
-        if key in _RECORD_KEYS and value:
-            records = ",\n".join("    " + json.dumps(record) for record in value)
-            lines.append(f'  "{key}": [\n{records}\n  ]')
+    for name in _CASE_FIELDS:
+        value = getattr(case, name)
+        if name in _RECORD_LISTS and value:
+            records = ",\n".join("    " + json.dumps(vars(record)) for record in value)
+            lines.append(f'  "{name}": [\n{records}\n  ]')
         else:
-            lines.append(f'  "{key}": {json.dumps(value)}')
+            lines.append(f'  "{name}": {json.dumps(value)}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -546,6 +443,130 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+# --- JSON input ---------------------------------------------------------------
+
+class _WrongType(Exception):
+    """A JSON value of the wrong type: what was expected, the value, and
+    where it sits below the field (``[i]`` for an array item)."""
+
+    def __init__(self, expected: str, value: Any, where: str = ""):
+        super().__init__(expected)
+        self.expected, self.value, self.where = expected, value, where
+
+
+def from_json(cls, doc):
+    """An instance of the dataclass ``cls`` from the JSON object ``doc``,
+    under the type rule of the module docstring. A field with a default may
+    be left out; a nested dataclass is read through its ``from_dict`` where
+    it has one. A non-object, an unknown or missing key, or a value of the
+    wrong JSON type is refused with ``ValueError`` naming the class and the
+    key; range checks are left to the class."""
+    readers, required = _class_readers(cls)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    values = {}
+    try:
+        for key, value in doc.items():
+            read = readers.get(key)
+            if read is None:
+                unknown = sorted(doc.keys() - readers.keys())
+                raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+            values[key] = read(value)
+    except _WrongType as exc:
+        raise ValueError(f"{cls.__name__} key {key}{exc.where} must be {exc.expected}, "
+                         f"not {json.dumps(exc.value)}") from None
+    if len(values) < len(readers) and not values.keys() >= required:
+        missing = [name for name in readers if name in required and name not in doc]
+        raise ValueError(f"missing {cls.__name__} keys: {', '.join(missing)}")
+    return cls(**values)
+
+
+@cache
+def _class_readers(cls):
+    """The reader of each field of ``cls`` and the names of the fields
+    without a default; built once per class."""
+    hints = get_type_hints(cls)
+    readers = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    required = frozenset(f.name for f in fields(cls)
+                         if f.default is MISSING and f.default_factory is MISSING)
+    return readers, required
+
+
+def _reader(tp) -> Callable[[Any], Any]:
+    """The function that reads one JSON value under the annotation ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _optional(_reader(inner))
+    if origin in (tuple, list):
+        return _array(origin, _reader(args[0]))
+    if is_dataclass(tp):
+        return getattr(tp, "from_dict", None) or partial(from_json, tp)
+    if issubclass(tp, enum.Enum):
+        return _enum(tp)
+    return _SCALARS[tp]
+
+
+def _exactly(kind, expected):
+    # `type(...) is` because bool is a subclass of int, but `true` is not a
+    # JSON integer.
+    def read(value):
+        if type(value) is kind:
+            return value
+        raise _WrongType(expected, value)
+    return read
+
+
+def _read_float(value):
+    if type(value) is float:
+        return value
+    if isinstance(value, float) or type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise _WrongType("a number in the float range", value) from None
+    raise _WrongType("a number", value)
+
+
+_SCALARS = {int: _exactly(int, "an integer"), float: _read_float,
+            bool: _exactly(bool, "true or false"), str: _exactly(str, "a string")}
+
+
+def _optional(read):
+    def read_optional(value):
+        try:
+            return None if value is None else read(value)
+        except _WrongType as exc:
+            raise _WrongType(f"{exc.expected} or null", value) from None
+    return read_optional
+
+
+def _array(container, read):
+    def read_array(value):
+        if type(value) is not list:
+            raise _WrongType("a list", value)
+        items = []
+        for i, item in enumerate(value):
+            try:
+                items.append(read(item))
+            except _WrongType as exc:
+                raise _WrongType(exc.expected, exc.value, f"[{i}]") from None
+        return container(items)
+    return read_array
+
+
+def _enum(cls):
+    members = {member.value: member for member in cls}
+    expected = "one of " + ", ".join(json.dumps(v) for v in members)
+
+    def read_enum(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            raise _WrongType(expected, value) from None
+    return read_enum
+
+
 def bundled_case_names() -> tuple[str, ...]:
     files = resources.files("gridsac") / "cases"
     return tuple(sorted(p.name.removesuffix(".json")
@@ -566,7 +587,6 @@ def bundled_case(name: str) -> GridCase:
 # ``with_*`` derivation changes; a derived case shares them with its source.
 _TOPOLOGY_CACHES = ("bus_order", "bus_position", "branch_by_id", "plant_by_id",
                     "plant_order")
-_CASE_FIELDS = tuple(f.name for f in fields(GridCase))
 
 
 def _copy_with(component, **changes):

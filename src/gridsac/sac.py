@@ -20,7 +20,7 @@ import numpy as np
 
 from .environment import (Action, GridControlEnv, Normalizer,
                           SnapshotStreamExhausted, StateVector)
-from .grid_model import V_SET_MAX, V_SET_MIN, write_text_atomic
+from .grid_model import V_SET_MAX, V_SET_MIN, from_json, write_text_atomic
 from .neural import (AdamState, DenseNetwork, adam_step, backward,
                      copy_network, forward, init_network, network_from_flat,
                      network_to_flat, polyak_update)
@@ -42,7 +42,6 @@ __all__ = [
     "raw_to_setpoints",
     "setpoints_to_raw",
     "METRICS_HEADER",
-    "check_json_types",
 ]
 
 LOG_STD_MIN = -20.0
@@ -99,55 +98,17 @@ class SacConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SacConfig":
-        """Config from a JSON object. Keys of knobs that were removed are
-        dropped, so configs and checkpoints written before still load; one
-        that had learning-rate decay switched on, or any other unknown key,
-        is refused with ``ValueError``, as is a value of the wrong JSON type."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"{cls.__name__} must be a JSON object")
-        doc = dict(doc)
-        if doc.pop("lr_decay_enabled", False):
-            raise ValueError("learning-rate decay (lr_decay_enabled) is no longer supported")
-        for key in ("entropy_max", "lr_decay_rate"):
-            doc.pop(key, None)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown SAC config keys: {', '.join(unknown)}")
-        check_json_types(cls, doc)
-        return cls(**doc)
-
-
-# JSON type a config field of each annotated type takes; bool is a subclass
-# of int in Python, but `true` is not a JSON number.
-_JSON_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "list": ("a list", lambda v: isinstance(v, list)),
-}
-
-
-def check_json_types(cls, doc: dict) -> None:
-    """Refuse, with ``ValueError`` naming the key, a value in the JSON object
-    ``doc`` whose type does not match the annotation of the field of the
-    dataclass ``cls`` it sets: ``int``, ``float``, ``bool``, ``str`` or
-    ``list[...]``, each also ``null`` when the annotation admits ``None``.
-    Fields of other types are left to their own parsers. The annotations are
-    read as written (``from __future__ import annotations``)."""
-    for f in fields(cls):
-        if f.name not in doc:
-            continue
-        kind, *alternatives = (k.strip() for k in str(f.type).split("|"))
-        optional = "None" in alternatives
-        check = _JSON_TYPES.get(kind.partition("[")[0])
-        value = doc[f.name]
-        if check is None or (optional and value is None):
-            continue
-        expected, matches = check
-        if not matches(value):
-            raise ValueError(f"{cls.__name__} key {f.name} must be {expected}"
-                             f"{' or null' if optional else ''}, not {json.dumps(value)}")
+        """Config from a JSON object, read by :func:`~gridsac.grid_model.from_json`.
+        Keys of knobs that were removed are dropped first, so configs and
+        checkpoints written before still load; one that had learning-rate
+        decay switched on is refused with ``ValueError``."""
+        if isinstance(doc, dict):
+            doc = dict(doc)
+            if doc.pop("lr_decay_enabled", False):
+                raise ValueError("learning-rate decay (lr_decay_enabled) is no longer supported")
+            for key in ("entropy_max", "lr_decay_rate"):
+                doc.pop(key, None)
+        return from_json(cls, doc)
 
 
 def _check_range(name, value, lo, hi):
@@ -598,17 +559,28 @@ def save_checkpoint(path: str | Path, agent: SacAgent,
 
 
 def load_checkpoint(path: str | Path) -> tuple[SacAgent, Normalizer]:
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    config = SacConfig.from_dict(doc["config"])
-    nets = {name: network_from_flat(spec["layer_dims"], spec["values"])
-            for name, spec in doc["networks"].items()}
-    agent = SacAgent(policy=nets["policy"], q1=nets["q1"], q2=nets["q2"],
-                     q1_target=nets["q1_target"], q2_target=nets["q2_target"],
-                     log_alpha=doc["log_alpha"],
-                     target_entropy=doc["target_entropy"], config=config)
-    normalizer = Normalizer(mean=np.array(doc["normalizer"]["mean"]),
-                            scale=np.array(doc["normalizer"]["scale"]))
+    """Agent and normalizer from a checkpoint file; a file that is not a
+    well-formed checkpoint is refused with ``ValueError`` naming it."""
+    # Each statement here reads the document, so each of the errors caught
+    # below means the file is malformed.
+    try:
+        doc = json.loads(Path(path).read_text())
+        version = doc.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        config = SacConfig.from_dict(doc["config"])
+        nets = {name: network_from_flat(spec["layer_dims"], spec["values"])
+                for name, spec in doc["networks"].items()}
+        agent = SacAgent(policy=nets["policy"], q1=nets["q1"], q2=nets["q2"],
+                         q1_target=nets["q1_target"], q2_target=nets["q2_target"],
+                         log_alpha=doc["log_alpha"],
+                         target_entropy=doc["target_entropy"], config=config)
+        normalizer = Normalizer(mean=np.array(doc["normalizer"]["mean"], dtype=float),
+                                scale=np.array(doc["normalizer"]["scale"], dtype=float))
+        if not normalizer.mean.shape == normalizer.scale.shape == (agent.state_dim,):
+            raise ValueError(f"normalizer does not have state_dim {agent.state_dim} entries")
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return agent, normalizer

@@ -155,6 +155,28 @@ def test_solve_case_with_underflowing_impedance_names_the_file(tmp_path, capsys)
     assert "zero series impedance" in err
 
 
+def _assert_data_error(proc, *fragments):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    for fragment in fragments:
+        assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize("name, edit, fragment", [
+    ("monitored.json", lambda d: d.update(monitored_buses=5), "key monitored_buses"),
+    ("bus_id.json", lambda d: d["buses"][1].update(id=2.7), "key id"),
+    ("overflow.json", lambda d: d["buses"][1].update(p_load=10 ** 400), "key p_load"),
+], ids=["integer-monitored-buses", "float-bus-id", "overflowing-p_load"])
+def test_solve_case_with_a_value_of_the_wrong_json_type_is_a_data_error(
+        tmp_path, name, edit, fragment):
+    doc = json.loads(serialize_case(bundled_case("case3")))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    _assert_data_error(_run_cli("solve", str(path)), str(path), fragment)
+
+
 def test_train_evaluate_retrain_pipeline(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["generate-snapshots", str(spec)]) == 0
@@ -212,6 +234,33 @@ def test_evaluate_refuses_checkpoint_with_unknown_config_key(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["evaluate", str(path), "snaps"]) == 2
     assert "entropy_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda text: json.dumps({**json.loads(text), "networks": 5}), ""),
+    (lambda text: json.dumps({**json.loads(text), "normalizer": {"mean": ["x"] * 12,
+                                                                  "scale": [1.0] * 12}}), "'x'"),
+    (lambda text: json.dumps({**json.loads(text), "normalizer": {"mean": [0.0] * 3,
+                                                                  "scale": [1.0] * 3}}),
+     "state_dim 12"),
+    (lambda text: text[:len(text) // 2], "line 1"),
+], ids=["networks-not-an-object", "string-normalizer-mean", "short-normalizer", "truncated"])
+def test_evaluate_malformed_checkpoint_is_a_data_error_naming_it(tmp_path, edit, fragment):
+    path = tmp_path / "ck.json"
+    # the state and action dimensions of case3, so only the edit is at fault
+    save_checkpoint(path, SacAgent.create(12, 2, SacConfig()), None)
+    path.write_text(edit(path.read_text()))
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    (snaps / "snap_000000.json").write_text(serialize_case(bundled_case("case3")))
+    _assert_data_error(_run_cli("evaluate", str(path), str(snaps)), f"error: {path}: ", fragment)
+
+
+def test_retrain_on_truncated_registry_is_a_data_error(tmp_path):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "registry.json").write_text('{"best": "a", "entries": [')
+    _assert_data_error(_run_cli("retrain", str(registry), str(tmp_path / "snaps")))
 
 
 def test_campaign_all_failures_numerical_exit(tmp_path):

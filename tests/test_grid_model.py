@@ -1,7 +1,7 @@
 """Case model: parsing, serialization, validation, derived admittances."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
                                 CaseSyntaxError, Generator, GridCase, Plant,
                                 bundled_case, bundled_case_names,
-                                _case_document, derive_admittance_params,
+                                derive_admittance_params,
                                 parse_case, serialize_case,
                                 with_generation, with_loads,
                                 with_plant_setpoints)
@@ -68,7 +68,7 @@ def test_parse_syntax_error_reports_position():
     (lambda d: d["branches"][0].update(r=-0.1), "negative resistance"),
     (lambda d: d["buses"][0].update(v_min=1.1, v_max=1.0), "v_min"),
     (lambda d: d.update(monitored_buses=[1, 2, 7]), "monitored bus"),
-    (lambda d: d["buses"][0].update(frequency=50), "unknown fields"),
+    (lambda d: d["buses"][0].update(frequency=50), "unknown Bus keys"),
 ])
 def test_parse_semantic_errors(mutate, fragment):
     doc = json.loads(MINIMAL_TWO_BUS)
@@ -91,40 +91,94 @@ def _minimal(**edits):
 
 
 def test_reader_messages_at_document_level():
-    assert _parse_error([1, 2]) == "case document must be an object"
+    assert _parse_error([1, 2]) == "GridCase must be a JSON object"
     assert (_parse_error(_minimal(zone="north", area=3))
-            == "unknown top-level keys: ['area', 'zone']")
+            == "unknown GridCase keys: area, zone")
     doc = _minimal()
     del doc["monitored_branches"], doc["plants"], doc["base_mva"]
     assert (_parse_error(doc)
-            == "missing top-level keys: ['base_mva', 'plants', 'monitored_branches']")
+            == "missing GridCase keys: base_mva, plants, monitored_branches")
 
 
 @pytest.mark.parametrize("key, record, message", [
-    ("buses", [1, "Slack"], "each bus must be an object"),
-    ("branches", None, "each branch must be an object"),
-    ("plants", "p", "each plant must be an object"),
-    ("buses", {"p_load": 0.1}, "bus: missing field 'id'"),
-    ("buses", {"id": 3, "v_min": 0.9}, "bus: missing field 'kind'"),
+    ("buses", [1, "Slack"], "Bus must be a JSON object"),
+    ("branches", None, "Branch must be a JSON object"),
+    ("plants", "p", "Plant must be a JSON object"),
+    ("buses", {"p_load": 0.1}, "missing Bus keys: id, kind"),
+    ("buses", {"id": 3, "v_min": 0.9}, "missing Bus keys: kind"),
     ("branches", {"id": 2, "from_bus": 1, "x": 0.1},
-     "branch: missing field 'to_bus'"),
+     "missing Branch keys: to_bus, r"),
     ("generators", {"id": 1, "bus": 1, "q_gen": 0.0, "v_set": 1.0},
-     "generator: missing field 'p_gen'"),
-    ("plants", {"id": 1, "name": "a"}, "plant: missing field 'generators'"),
-    ("buses", {"id": 3, "kind": "Swing"}, "bus: 'Swing' is not a valid BusKind"),
+     "missing Generator keys: p_gen, p_min, p_max, q_min, q_max, plant"),
+    ("plants", {"id": 1, "name": "a"}, "missing Plant keys: generators"),
+    ("buses", {"id": 3, "kind": "Swing"},
+     'Bus key kind must be one of "Slack", "PV", "PQ", not "Swing"'),
     ("buses", {"id": 3, "kind": "PQ", "p_load": None},
-     "bus: float() argument must be a string or a real number, not 'NoneType'"),
+     "Bus key p_load must be a number, not null"),
     ("branches", {"id": 2, "from_bus": 1, "to_bus": 2, "r": 0.0, "x": 0.1,
-                  "in_service": 1}, "branch: in_service must be a boolean"),
+                  "in_service": 1}, "Branch key in_service must be true or false, not 1"),
     ("generators", {"id": 1, "bus": 1, "p_gen": "high", "q_gen": 0.0, "p_min": 0.0,
                     "p_max": 1.0, "q_min": -1.0, "q_max": 1.0, "v_set": 1.0,
                     "plant": 1},
-     "generator: could not convert string to float: 'high'"),
+     'Generator key p_gen must be a number, not "high"'),
     ("plants", {"id": 1, "name": "a", "generators": 5},
-     "plant: 'int' object is not iterable"),
-])
+     "Plant key generators must be a list, not 5"),
+], ids=["bus-list", "branch-null", "plant-string", "bus-missing-id", "bus-missing-kind",
+        "branch-missing-to_bus", "generator-missing-p_gen", "plant-missing-generators",
+        "bus-unknown-kind", "bus-null-p_load", "branch-integer-in_service",
+        "generator-string-p_gen", "plant-integer-generators"])
 def test_reader_messages_per_record(key, record, message):
     assert _parse_error(_minimal(**{key: [record]})) == message
+
+
+def _case14_with(edit):
+    doc = json.loads(serialize_case(bundled_case("case14")))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# No value may be coerced (2.7 to bus 2, "1.05" to 1.05, "12" to plants 1
+# and 2) or fail outside CaseError (TypeError, OverflowError).
+@pytest.mark.parametrize("edit, record, key", [
+    (lambda d: d["buses"][1].update(id=2.7), "Bus", "id"),
+    (lambda d: d["generators"][1].update(plant=1.9), "Generator", "plant"),
+    (lambda d: d.update(monitored_buses=[2.5, 3]), "GridCase", "monitored_buses[0]"),
+    (lambda d: d["buses"][1].update(v_mag="1.05"), "Bus", "v_mag"),
+    (lambda d: d["buses"][1].update(p_load=True), "Bus", "p_load"),
+    (lambda d: d["plants"][0].update(name=5), "Plant", "name"),
+    (lambda d: d.update(monitored_buses=5), "GridCase", "monitored_buses"),
+    (lambda d: d.update(buses=7), "GridCase", "buses"),
+    (lambda d: d["plants"][0].update(generators="12"), "Plant", "generators"),
+    (lambda d: d["buses"][1].update(p_load=10 ** 400), "Bus", "p_load"),
+    (lambda d: d["generators"][0].update(v_set=None), "Generator", "v_set"),
+], ids=["float-bus-id", "float-plant-ref", "float-monitored-bus", "string-v_mag",
+        "true-p_load", "integer-plant-name", "integer-monitored-buses",
+        "integer-buses", "string-plant-generators", "overflowing-p_load", "null-v_set"])
+def test_value_of_the_wrong_json_type_is_refused(edit, record, key):
+    with pytest.raises(CaseSemanticError) as exc:
+        parse_case(_case14_with(edit))
+    assert str(exc.value).startswith(f"{record} key {key} must be ")
+
+
+def test_integer_beyond_the_digit_limit_is_a_syntax_error():
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+    text = MINIMAL_TWO_BUS.replace('"p_load": 0.5', '"p_load": ' + "9" * 5000)
+    with pytest.raises(CaseSyntaxError, match="digits"):
+        parse_case(text)
+
+
+def test_integers_load_as_floats():
+    case = parse_case(_case14_with(lambda d: d["buses"][1].update(p_load=1)))
+    assert type(case.buses[1].p_load) is float and case.buses[1].p_load == 1.0
+
+
+def test_record_keys_are_the_dataclass_fields(case14):
+    # serialize_case writes each record as vars(record).
+    derived = with_generation(with_loads(with_plant_setpoints(case14, {1: 1.04}), {2: 0.3}),
+                              {1: 1.0})
+    for case in (case14, derived):
+        for record in (*case.buses, *case.branches, *case.generators, *case.plants):
+            assert list(vars(record)) == [f.name for f in fields(record)]
 
 
 def test_infinite_voltage_limit_roundtrips():
@@ -210,7 +264,7 @@ def test_every_bundled_case_matches_golden_text():
 def test_case_file_has_one_record_per_line(case3):
     lines = serialize_case(case3).splitlines()
     assert lines[:3] == ['{', '  "base_mva": 100.0,', '  "buses": [']
-    assert lines[3] == "    " + json.dumps(_case_document(case3)["buses"][0]) + ","
+    assert lines[3] == "    " + json.dumps(asdict(case3.buses[0])) + ","
     assert lines[-3:] == ['  "monitored_buses": [1, 2, 3],',
                           '  "monitored_branches": [1, 2, 3]', '}']
 
@@ -218,7 +272,7 @@ def test_case_file_has_one_record_per_line(case3):
 @pytest.mark.parametrize("name", bundled_case_names())
 def test_serialized_text_loads_to_its_document(name):
     case = bundled_case(name)
-    assert json.loads(serialize_case(case)) == _case_document(case)
+    assert json.loads(serialize_case(case)) == json.loads(json.dumps(asdict(case)))
 
 
 @pytest.mark.parametrize("name", bundled_case_names())
@@ -329,7 +383,7 @@ def test_generated_cases_roundtrip_exactly(case):
 @given(grid_cases())
 @settings(max_examples=60, deadline=None)
 def test_generated_case_text_loads_to_its_document(case):
-    assert json.loads(serialize_case(case)) == _case_document(case)
+    assert json.loads(serialize_case(case)) == json.loads(json.dumps(asdict(case)))
 
 
 # --- property: with_* derivations validate like construction -------------------

@@ -311,6 +311,7 @@ def test_config_file_with_a_missing_key_is_refused(tmp_path, cls):
     (RunConfig, "run_id", 7),
     (CampaignConfig, "runs", RUN_DOC),
     (CampaignConfig, "max_workers", None),
+    (CampaignConfig, "selection_metric", 3),
 ])
 def test_config_file_with_a_value_of_the_wrong_json_type_is_refused(tmp_path, cls, key, value):
     path = _config_file(tmp_path, {**CONFIG_DOCS[cls], key: value})
@@ -322,6 +323,14 @@ def test_config_file_takes_an_integer_for_a_float_field(tmp_path):
     spec = config_from_file(SnapshotGenSpec, _config_file(
         tmp_path, {**CONFIG_DOCS[SnapshotGenSpec], "load_scale_high": 2}))
     assert spec.load_scale_high == 2
+
+
+def test_run_file_with_retired_sac_keys_loads(tmp_path):
+    # written while entropy_max and lr_decay_rate were still SAC config fields
+    path = _config_file(tmp_path, {**RUN_DOC, "sac": {"batch_size": 64, "entropy_max": 1.0,
+                                                      "lr_decay_rate": 0.5}})
+    run = config_from_file(RunConfig, path)
+    assert run.sac == SacConfig(batch_size=64)
 
 
 def test_campaign_file_refuses_an_unknown_key_in_a_run(tmp_path):

@@ -19,6 +19,14 @@ string, one of an enum's values, an object, an array, and ``null`` only
 where the field is optional), and an unknown or missing key is refused. A
 case that breaks the rule raises :class:`CaseSemanticError`, a config
 ``ValueError``; both exit the command line with code 2.
+
+:func:`from_json` builds an instance without the dataclass's generated
+``__init__``: it writes the values it reads straight into the new
+instance's ``__dict__``, in field order whatever the order of the keys (so
+``vars``, and :func:`serialize_case`, see the fields in order), fills each
+left-out field with its default, calling a ``default_factory`` once per
+instance, and then runs the class's ``__post_init__`` where it has one
+(:class:`GridCase` validates there).
 """
 
 from __future__ import annotations
@@ -460,36 +468,56 @@ def from_json(cls, doc):
     be left out; a nested dataclass is read through its ``from_dict`` where
     it has one. A non-object, an unknown or missing key, or a value of the
     wrong JSON type is refused with ``ValueError`` naming the class and the
-    key; range checks are left to the class."""
-    readers, required = _class_readers(cls)
+    key; range checks are left to the class's ``__post_init__``.
+
+    The instance is built as the module docstring says, without the
+    generated ``__init__``.
+    """
+    readers, names, required, defaults, post_init = _class_readers(cls)
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object")
-    values = {}
+    new, state = _blank(cls)
     try:
         for key, value in doc.items():
             read = readers.get(key)
             if read is None:
                 unknown = sorted(doc.keys() - readers.keys())
                 raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-            values[key] = read(value)
+            state[key] = read(value)
     except _WrongType as exc:
         raise ValueError(f"{cls.__name__} key {key}{exc.where} must be {exc.expected}, "
                          f"not {json.dumps(exc.value)}") from None
-    if len(values) < len(readers) and not values.keys() >= required:
-        missing = [name for name in readers if name in required and name not in doc]
-        raise ValueError(f"missing {cls.__name__} keys: {', '.join(missing)}")
-    return cls(**values)
+    if tuple(state) != names:     # a key left out, or the keys out of field order
+        if not state.keys() >= required:
+            missing = [name for name in names if name in required and name not in doc]
+            raise ValueError(f"missing {cls.__name__} keys: {', '.join(missing)}")
+        given = dict(state)
+        state.clear()
+        for name in names:
+            state[name] = given[name] if name in given else _default(defaults[name])
+    if post_init is not None:
+        post_init(new)
+    return new
 
 
 @cache
 def _class_readers(cls):
-    """The reader of each field of ``cls`` and the names of the fields
-    without a default; built once per class."""
+    """What :func:`from_json` needs of ``cls``, built once per class: the
+    reader of each field, the field names in order, the names of the fields
+    without a default, the fields with one, and ``__post_init__`` or None."""
     hints = get_type_hints(cls)
     readers = {f.name: _reader(hints[f.name]) for f in fields(cls)}
     required = frozenset(f.name for f in fields(cls)
                          if f.default is MISSING and f.default_factory is MISSING)
-    return readers, required
+    defaults = {f.name: f for f in fields(cls) if f.name not in required}
+    return (readers, tuple(readers), required, defaults,
+            getattr(cls, "__post_init__", None))
+
+
+def _default(f):
+    """The default of the field ``f``; a ``default_factory`` makes a new
+    value for each instance."""
+    return f.default if f.default_factory is MISSING else f.default_factory()
 
 
 def _reader(tp) -> Callable[[Any], Any]:
@@ -589,11 +617,20 @@ _TOPOLOGY_CACHES = ("bus_order", "bus_position", "branch_by_id", "plant_by_id",
                     "plant_order")
 
 
+def _blank(cls):
+    """A new instance of the dataclass ``cls`` and its empty ``__dict__``,
+    made without the generated ``__init__`` and so without
+    ``__post_init__``. The caller writes every field into the dict, in
+    field order: ``vars``, and so :func:`serialize_case`, follow it."""
+    new = object.__new__(cls)
+    return new, new.__dict__
+
+
 def _copy_with(component, **changes):
     """``replace(component, **changes)`` for a bus or generator, whose
-    dataclass has no ``__post_init__``; skips the frozen ``__init__``."""
-    new = object.__new__(type(component))
-    new.__dict__.update(component.__dict__, **changes)
+    dataclass has no ``__post_init__``."""
+    new, state = _blank(type(component))
+    state.update(component.__dict__, **changes)
     return new
 
 
@@ -605,13 +642,11 @@ def _derived(case: GridCase, **changes) -> GridCase:
     ``case`` passed validation.
     """
     source = case.__dict__
-    state = {name: source[name] for name in _CASE_FIELDS}
-    state.update(changes)
+    new, state = _blank(GridCase)
+    state.update({name: source[name] for name in _CASE_FIELDS}, **changes)
     for name in _TOPOLOGY_CACHES:
         if name in source:
             state[name] = source[name]
-    new = object.__new__(GridCase)
-    new.__dict__.update(state)
     return new
 
 

@@ -176,12 +176,13 @@ def generate_snapshots(spec: SnapshotGenSpec) -> Path:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
+    draw = _snapshot_drawer(base, spec)
     width = max(5, len(str(spec.n_snapshots)))
     paths = []
     for k in range(spec.n_snapshots):
         snap = None
         for _ in range(spec.retries_per_snapshot):
-            candidate = _draw_snapshot(base, spec, rng)
+            candidate = draw(rng)
             if solve_newton_raphson(candidate).converged:
                 snap = candidate
                 break
@@ -195,27 +196,34 @@ def generate_snapshots(spec: SnapshotGenSpec) -> Path:
     return out_dir
 
 
-def _draw_snapshot(base: GridCase, spec: SnapshotGenSpec, rng: np.random.Generator) -> GridCase:
-    if spec.per_load_scaling:
-        factors = {b.id: rng.uniform(spec.load_scale_low, spec.load_scale_high)
-                   for b in base.buses}
-    else:
-        f = rng.uniform(spec.load_scale_low, spec.load_scale_high)
-        factors = {b.id: f for b in base.buses}
-    p_load = {b.id: b.p_load * factors[b.id] for b in base.buses}
-    q_load = {b.id: b.q_load * factors[b.id] for b in base.buses}
+def _snapshot_drawer(base: GridCase, spec: SnapshotGenSpec):
+    """The function that draws one candidate snapshot around ``base`` from
+    an RNG; the base's total load and plant setpoints are computed here,
+    once."""
     total_before = sum(b.p_load for b in base.buses)
-    total_after = sum(p_load.values())
-    ratio = total_after / total_before if total_before > 0 else 1.0
-    p_gen = {g.id: float(np.clip(g.p_gen * ratio, g.p_min, g.p_max))
-             for g in base.generators}
-    setpoints = {pid: float(np.clip(nominal + rng.uniform(-spec.setpoint_jitter,
-                                                           spec.setpoint_jitter),
-                                    V_SET_MIN, V_SET_MAX))
-                 for pid, nominal in zip(base.plant_order, plant_setpoints(base))}
-    case = with_loads(base, p_load, q_load)
-    case = with_generation(case, p_gen)
-    return with_plant_setpoints(case, setpoints)
+    nominal_setpoints = tuple(zip(base.plant_order, plant_setpoints(base)))
+
+    def draw(rng: np.random.Generator) -> GridCase:
+        if spec.per_load_scaling:
+            factors = {b.id: rng.uniform(spec.load_scale_low, spec.load_scale_high)
+                       for b in base.buses}
+        else:
+            f = rng.uniform(spec.load_scale_low, spec.load_scale_high)
+            factors = {b.id: f for b in base.buses}
+        p_load = {b.id: b.p_load * factors[b.id] for b in base.buses}
+        q_load = {b.id: b.q_load * factors[b.id] for b in base.buses}
+        total_after = sum(p_load.values())
+        ratio = total_after / total_before if total_before > 0 else 1.0
+        p_gen = {g.id: float(np.clip(g.p_gen * ratio, g.p_min, g.p_max))
+                 for g in base.generators}
+        setpoints = {pid: float(np.clip(nominal + rng.uniform(-spec.setpoint_jitter,
+                                                               spec.setpoint_jitter),
+                                        V_SET_MIN, V_SET_MAX))
+                     for pid, nominal in nominal_setpoints}
+        case = with_loads(base, p_load, q_load)
+        case = with_generation(case, p_gen)
+        return with_plant_setpoints(case, setpoints)
+    return draw
 
 
 def snapshot_paths(snapshot_dir: str | Path) -> list[Path]:
@@ -482,7 +490,10 @@ class ModelRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / "registry.json"
         if self._path.exists():
-            self._doc = json.loads(self._path.read_text())
+            try:
+                self._doc = json.loads(self._path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{self._path}: {exc}") from None
         else:
             self._doc = {"best_run_id": None, "entries": []}
 
@@ -518,21 +529,21 @@ class ModelRegistry:
         self._save()
 
     def entries(self) -> list[RegistryEntry]:
-        return [self._entry(e) for e in self._doc["entries"]]
+        """Every entry, read by :func:`~gridsac.grid_model.from_json`; a
+        malformed one is a ``ValueError`` naming ``registry.json``."""
+        try:
+            return [from_json(RegistryEntry, e) for e in self._doc["entries"]]
+        except ValueError as exc:
+            raise ValueError(f"{self._path}: {exc}") from None
 
     def best(self) -> RegistryEntry:
         run_id = self._doc["best_run_id"]
         if run_id is None:
             raise ValueError("registry has no best model")
-        doc = next(e for e in self._doc["entries"] if e["run_id"] == run_id)
-        return self._entry(doc)
-
-    @staticmethod
-    def _entry(doc) -> RegistryEntry:
-        return RegistryEntry(run_id=doc["run_id"],
-                             checkpoint_path=doc["checkpoint_path"],
-                             metrics_path=doc["metrics_path"],
-                             report=EvaluationReport(**doc["report"]))
+        for entry in self.entries():
+            if entry.run_id == run_id:
+                return entry
+        raise ValueError(f"{self._path}: best_run_id {run_id!r} names no entry")
 
 
 # --- periodic retraining -------------------------------------------------------

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gridsac.cli import main
 from gridsac.grid_model import bundled_case, serialize_case, with_loads
+from gridsac.harness import EvaluationReport
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
 from conftest import make_three_bus
@@ -263,6 +265,24 @@ def test_retrain_on_truncated_registry_is_a_data_error(tmp_path):
     _assert_data_error(_run_cli("retrain", str(registry), str(tmp_path / "snaps")))
 
 
+def _registry_entry(run_id):
+    return {"run_id": run_id, "checkpoint_path": f"{run_id}.json", "metrics_path": "m.csv",
+            "report": {f.name: 0 for f in fields(EvaluationReport)}}
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"best_run_id": "a", "entries": [{**_registry_entry("a"), "report": {"n_snapshots": 3}}]},
+     "missing EvaluationReport keys: valid_control_fraction"),
+    ({"best_run_id": "b", "entries": [_registry_entry("a")]}, "best_run_id 'b' names no entry"),
+], ids=["report-missing-keys", "dangling-best"])
+def test_retrain_on_a_malformed_registry_is_a_data_error_naming_it(tmp_path, doc, fragment):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "registry.json").write_text(json.dumps(doc))
+    _assert_data_error(_run_cli("retrain", str(registry), str(tmp_path / "snaps")),
+                       f"error: {registry / 'registry.json'}: ", fragment)
+
+
 def test_campaign_all_failures_numerical_exit(tmp_path):
     campaign_cfg = tmp_path / "campaign.json"
     campaign_cfg.write_text(json.dumps({
@@ -288,3 +308,18 @@ def test_evaluate_on_truncated_snapshot_is_data_error(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "line" in proc.stderr
     assert "snap_000001.json" in proc.stderr
+
+
+@pytest.mark.parametrize("key, literal", [("p_load", "NaN"), ("q_load", "Infinity")])
+def test_non_finite_snapshot_value_is_a_data_error_naming_the_file(tmp_path, key, literal):
+    doc = json.loads(serialize_case(bundled_case("case3")))
+    doc["buses"][1][key] = float(literal)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    path = snaps / "snapshot_00000.json"
+    path.write_text(json.dumps(doc))
+    assert f'"{key}": {literal}' in path.read_text()
+    checkpoint = tmp_path / "ck.json"
+    save_checkpoint(checkpoint, SacAgent.create(4, 2, SacConfig()), None)
+    for args in (("solve", str(path)), ("evaluate", str(checkpoint), str(snaps))):
+        _assert_data_error(_run_cli(*args), f"error: {path}: ", f"{key} not finite")

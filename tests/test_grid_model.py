@@ -123,10 +123,14 @@ def test_reader_messages_at_document_level():
      'Generator key p_gen must be a number, not "high"'),
     ("plants", {"id": 1, "name": "a", "generators": 5},
      "Plant key generators must be a list, not 5"),
+    ("buses", {"id": 3, "kind": "PQ", "zone": 1, "area": 2}, "unknown Bus keys: area, zone"),
+    ("plants", {"id": 1, "name": "a", "generators": [1, "2"]},
+     'Plant key generators[1] must be an integer, not "2"'),
 ], ids=["bus-list", "branch-null", "plant-string", "bus-missing-id", "bus-missing-kind",
         "branch-missing-to_bus", "generator-missing-p_gen", "plant-missing-generators",
         "bus-unknown-kind", "bus-null-p_load", "branch-integer-in_service",
-        "generator-string-p_gen", "plant-integer-generators"])
+        "generator-string-p_gen", "plant-integer-generators", "bus-unknown-keys",
+        "plant-string-generator-item"])
 def test_reader_messages_per_record(key, record, message):
     assert _parse_error(_minimal(**{key: [record]})) == message
 
@@ -179,6 +183,21 @@ def test_record_keys_are_the_dataclass_fields(case14):
     for case in (case14, derived):
         for record in (*case.buses, *case.branches, *case.generators, *case.plants):
             assert list(vars(record)) == [f.name for f in fields(record)]
+
+
+def test_records_are_built_in_field_order_from_any_key_order():
+    # Keys reversed and the default voltage limits left out: the records still
+    # hold their fields in field order, so the text written back is canonical.
+    text = (resources.files("gridsac") / "cases" / "case14.json").read_text()
+    doc = json.loads(text)
+    for key in ("buses", "branches", "generators", "plants"):
+        doc[key] = [dict(reversed(record.items())) for record in doc[key]]
+    for bus in doc["buses"]:
+        assert (bus.pop("v_min"), bus.pop("v_max")) == (0.97, 1.07)
+    case = parse_case(json.dumps(dict(reversed(doc.items()))))
+    for record in (*case.buses, *case.branches, *case.generators, *case.plants):
+        assert list(vars(record)) == [f.name for f in fields(record)]
+    assert serialize_case(case) == text
 
 
 def test_infinite_voltage_limit_roundtrips():

@@ -284,6 +284,17 @@ def test_config_files_leave_defaults_to_the_dataclasses(tmp_path):
     assert spec == SnapshotGenSpec(base_case_path=CASE3, output_dir="out", n_snapshots=3)
 
 
+def test_each_config_gets_its_own_default_sac_config(tmp_path):
+    # RunConfig.sac has a default_factory, called once per instance read.
+    path = _config_file(tmp_path, RUN_DOC)
+    first, second = config_from_file(RunConfig, path), config_from_file(RunConfig, path)
+    campaign = config_from_file(CampaignConfig, _config_file(
+        tmp_path, {"runs": [RUN_DOC, {**RUN_DOC, "run_id": "b"}], "output_dir": "out"}))
+    sacs = [first.sac, second.sac, *(run.sac for run in campaign.runs)]
+    assert all(sac == SacConfig() for sac in sacs)
+    assert len({id(sac) for sac in sacs}) == len(sacs)
+
+
 @pytest.mark.parametrize("cls", list(CONFIG_DOCS), ids=lambda cls: cls.__name__)
 def test_config_file_with_an_unknown_key_is_refused(tmp_path, cls):
     # A misspelt optional key (train_fracton) used to be dropped silently.

@@ -14,7 +14,7 @@ import pytest
 from gridsac.environment import extract_state
 from gridsac.grid_model import (Branch, GridCase, with_generation, with_loads,
                                 with_plant_setpoints)
-from gridsac.harness import SnapshotGenSpec, _draw_snapshot
+from gridsac.harness import SnapshotGenSpec, _snapshot_drawer
 from gridsac.power_flow import (SolverOptions, _jacobian, audit_violations,
                                 build_admittance, compile_grid,
                                 compute_branch_flows, solve_newton_raphson)
@@ -31,8 +31,9 @@ def _snapshots(base, n, seed, **spec):
     a random control action on it."""
     spec = SnapshotGenSpec(base_case_path="", output_dir="", n_snapshots=n, **spec)
     rng = np.random.default_rng(seed)
+    draw = _snapshot_drawer(base, spec)
     for _ in range(n):
-        case = _draw_snapshot(base, spec, rng)
+        case = draw(rng)
         action = {pid: rng.uniform(0.9, 1.1) for pid in base.plant_order}
         yield case, with_plant_setpoints(case, action)
 

@@ -12,18 +12,27 @@ grid is immutable and checked against the case before use. Nothing is
 cached on the :class:`~gridsac.grid_model.GridCase` or in this module, so
 every function stays pure and independent solves may run concurrently on
 the same case or the same grid.
+
+:func:`solve_lockstep` cold-solves many cases of one network together, one
+stacked Newton iteration per pass, as snapshot generation does. Its grid
+serves every case that differs from the compiled one only in bus loads and
+generator ``p_gen`` and ``v_set``; it reads those straight from each case
+and compiles none. It matches the cold single solve flag for flag and
+agrees with it to rounding. Warm, stateful solves (``env.step``) stay on
+:func:`solve_newton_raphson`: a lockstep of one case is slower and would
+change the rounding training sees.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
-from .grid_model import BusKind, GridCase
+from .grid_model import Bus, BusKind, GridCase
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +47,8 @@ __all__ = [
     "build_admittance",
     "compile_grid",
     "solve_newton_raphson",
+    "LockstepSolution",
+    "solve_lockstep",
     "compute_branch_flows",
     "audit_violations",
 ]
@@ -327,10 +338,8 @@ def solve_newton_raphson(case: GridCase,
     at_max = np.zeros(grid.n, dtype=bool)   # ... at q_max rather than q_min
     budget = opts.q_limit_budget
     for round_ in range(budget + 1):
-        converged, iterations, mismatch_norm = _newton(grid, s_sched, grid.is_pv & ~pinned,
-                                                       vm, va, opts)
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(grid.ybus @ v)
+        converged, iterations, mismatch_norm, s_calc = _newton(
+            grid, s_sched, grid.is_pv & ~pinned, vm, va, opts)
         # Net generator reactive output: scheduled at generator buses,
         # recovered from the solved injections at the slack and at PV buses
         # (pinned ones included).
@@ -369,10 +378,163 @@ def solve_newton_raphson(case: GridCase,
     )
 
 
+@dataclass
+class LockstepSolution:
+    """Per-case outcome of :func:`solve_lockstep`; row ``k`` of each array
+    belongs to ``cases[k]``, and bus columns follow ``grid.bus_ids``."""
+
+    converged: np.ndarray    # bool (K,)
+    iterations: np.ndarray   # int (K,): mismatch evaluations of the last Newton solve
+    v_mag: np.ndarray        # (K, n)
+    v_ang: np.ndarray        # (K, n)
+    pinned: np.ndarray       # bool (K, n): PV buses switched to PQ at a limit
+    at_max: np.ndarray       # bool (K, n): ... at q_max rather than q_min
+
+
+def solve_lockstep(grid: CompiledGrid, cases, opts: SolverOptions = SolverOptions()
+                   ) -> LockstepSolution:
+    """Flat-start solves of ``cases`` in lockstep: each pass makes one Newton
+    iteration of every case still running, with one stacked Jacobian solve.
+
+    ``grid`` serves every case with its buses, branches, generators and
+    monitored sets apart from the bus loads and the generators' ``p_gen``
+    and ``v_set``, which are read from each case; any other case raises
+    ``ValueError``. Each case follows the rules of a cold
+    :func:`solve_newton_raphson` (tolerance, iteration cap, divergence
+    exits, Q-limit rule and budget) and gets the same flags, iterations and
+    pinned buses; its voltages agree to rounding, not bit for bit.
+    """
+    p_sched, q_sched, q_load, v_target = _case_rows(grid, cases)
+    k, n = p_sched.shape
+    slack, budget = grid.slack, opts.q_limit_budget
+    s_sched = p_sched + 1j * q_sched
+    vm = np.ones((k, n))
+    va = np.zeros((k, n))
+    vm[:, slack] = v_target[:, slack]
+    vm[:, grid.is_pv] = v_target[:, grid.is_pv]
+    va[:, slack] = grid.slack_v_ang
+    pinned = np.zeros((k, n), dtype=bool)
+    at_max = np.zeros((k, n), dtype=bool)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=int)
+    rounds = np.zeros(k, dtype=int)
+    # Every case's Jacobian is full size, [P | Q] x [th | Vm] over all buses.
+    # The unknowns a case holds fixed (the slack angle, the slack magnitude
+    # and its unpinned PV magnitudes; False in ``unknowns``) get identity
+    # rows and columns and a zero mismatch, so their step is zero and the
+    # rest is the case's reduced system.
+    not_slack = np.arange(n) != slack
+    unknowns = np.tile(np.concatenate([not_slack, not_slack & ~grid.is_pv]), (k, 1))
+    identity = np.eye(2 * n)
+    rows = np.arange(k)
+    while rows.size:
+        iterations[rows] += 1
+        v = vm[rows] * np.exp(1j * va[rows])
+        i_bus = v @ grid.ybus.T
+        s_calc = v * np.conj(i_bus)
+        mismatch = s_sched[rows] - s_calc
+        free = unknowns[rows]
+        f = np.where(free, np.concatenate([mismatch.real, mismatch.imag], axis=1), 0.0)
+        norm = np.abs(f).max(axis=1)
+        solved = norm <= opts.tolerance
+        stepping = np.isfinite(norm) & ~solved & (iterations[rows] <= opts.max_iterations)
+        leaving = ~stepping
+
+        done = rows[solved]
+        converged[done] = True
+        if budget and done.size:
+            q_gen = np.where(grid.q_solved, s_calc[solved].imag + q_load[done], grid.q_gen_bus)
+            over, under = _q_limit_violations(grid, q_gen, pinned[done])
+            violated = (over | under).any(axis=1)
+            converged[done[violated]] = False
+            for _ in range(np.count_nonzero(violated & (rounds[done] == budget))):
+                logger.warning("q-limit switching budget exhausted; flagging non-converged")
+            again = violated & (rounds[done] < budget)
+            r = done[again]
+            pinned[r] |= over[again] | under[again]
+            unknowns[r, n:] |= pinned[r]
+            at_max[r] |= over[again]
+            q_held = np.where(at_max[r], grid.q_max_bus, grid.q_min_bus)
+            s_sched[r] = p_sched[r] + 1j * np.where(pinned[r], q_held - q_load[r], q_sched[r])
+            rounds[r] += 1
+            iterations[r] = 0
+            leaving[np.flatnonzero(solved)[again]] = False
+
+        step = np.flatnonzero(stepping)
+        if step.size:
+            r = rows[step]
+            both = free[step, :, None] & free[step, None, :]
+            jac = np.where(both, _jacobian(grid.ybus, v[step], i_bus[step], vm[r]), identity)
+            dx = _solve_stack(jac, f[step], iterations[r])
+            moved = np.isfinite(dx).all(axis=1)
+            r = r[moved]
+            va[r] += dx[moved, :n]
+            vm[r] += dx[moved, n:]
+            moved[moved] = (vm[r] > 0.0).all(axis=1)
+            leaving[step[~moved]] = True
+        rows = rows[~leaving]
+    return LockstepSolution(converged=converged, iterations=iterations, v_mag=vm, v_ang=va,
+                            pinned=pinned, at_max=at_max)
+
+
+def _solve_stack(jac, f, iterations):
+    """The Newton step of each stacked system; a singular Jacobian gives
+    its row NaN steps and the single solve's warning."""
+    try:
+        return np.linalg.solve(jac, f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        dx = np.full_like(f, np.nan)
+        for k in range(len(f)):
+            try:
+                dx[k] = np.linalg.solve(jac[k], f[k])
+            except np.linalg.LinAlgError:
+                logger.warning("singular Jacobian at iteration %d", iterations[k])
+        return dx
+
+
+_BUS_LOADS = attrgetter("p_load", "q_load")
+_BUS_FIXED = attrgetter(*(f.name for f in fields(Bus) if f.name not in ("p_load", "q_load")))
+_GEN_VALUES = attrgetter("p_gen", "v_set")
+_GEN_FIXED = attrgetter("id", "bus", "q_gen", "q_min", "q_max")   # generator_data less p_gen
+
+
+def _case_rows(grid: CompiledGrid, cases):
+    """Scheduled injections, loads and voltage targets of ``cases``, one row
+    per case in grid bus order, with the sums and the arithmetic of
+    :func:`compile_grid` and :func:`_bus_arrays`, without compiling a case.
+    A case whose buses, branches, generators or monitored sets differ from
+    the grid's in anything but the loads, ``p_gen`` and ``v_set`` raises
+    ``ValueError``."""
+    buses = list(map(_BUS_FIXED, grid.buses))
+    gens = [row[:2] + row[3:] for row in grid.generator_data]
+    for k, case in enumerate(cases):
+        if not (case.branches == grid.branches
+                and case.monitored_buses == grid.monitored_buses
+                and case.monitored_branches == grid.monitored_branches
+                and list(map(_BUS_FIXED, case.buses)) == buses
+                and list(map(_GEN_FIXED, case.generators)) == gens):
+            raise ValueError(f"case {k} does not match the compiled grid: it differs in more "
+                             "than its loads, generator outputs and voltage setpoints")
+    k, n, n_gen = len(cases), grid.n, len(gens)
+    loads = np.array([_BUS_LOADS(b) for case in cases for b in case.buses],
+                     dtype=float).reshape(k, n, 2)
+    loads = loads[:, np.argsort([b.id for b in grid.buses])]    # into grid bus order
+    gen_values = np.array([_GEN_VALUES(g) for case in cases for g in case.generators],
+                          dtype=float).reshape(k, n_gen, 2)
+    per_bus = np.zeros((k, n, 2))                               # p_gen, v_set
+    np.add.at(per_bus, (slice(None), grid.gen_bus), gen_values)
+    p_load, q_load = loads[..., 0], loads[..., 1]
+    v_target = np.tile(grid.v_mag, (k, 1))
+    r = grid.regulated
+    v_target[:, r] = per_bus[:, r, 1] / grid.n_gen_bus[r]
+    return per_bus[..., 0] - p_load, grid.q_gen_bus - q_load, q_load, v_target
+
+
 def _newton(grid: CompiledGrid, s_sched, is_pv, vm, va,
-            opts: SolverOptions) -> tuple[bool, int, float]:
+            opts: SolverOptions) -> tuple[bool, int, float, np.ndarray]:
     """One Newton-Raphson solve with ``is_pv`` as the PV buses. Updates
-    ``vm`` and ``va`` in place; returns (converged, iterations, mismatch norm)."""
+    ``vm`` and ``va`` in place; returns (converged, iterations, mismatch
+    norm, complex bus injections at the final ``vm`` and ``va``)."""
     n, slack, ybus = grid.n, grid.slack, grid.ybus
     is_pq = ~is_pv
     is_pq[slack] = False
@@ -382,7 +544,6 @@ def _newton(grid: CompiledGrid, s_sched, is_pv, vm, va,
     pvpq = np.concatenate([pv, pq])
     # Rows and columns of the reduced Jacobian in [Re dS | Im dS] x [dth | dVm].
     reduced = np.concatenate([pvpq, n + pq])
-    reduced = np.ix_(reduced, reduced)
 
     iterations = 0
     mismatch_norm = np.inf
@@ -390,17 +551,19 @@ def _newton(grid: CompiledGrid, s_sched, is_pv, vm, va,
         iterations += 1
         v = vm * np.exp(1j * va)
         i_bus = ybus @ v
-        mismatch = s_sched - v * np.conj(i_bus)
+        s_calc = v * np.conj(i_bus)
+        mismatch = s_sched - s_calc
         f = np.concatenate([mismatch.real[pvpq], mismatch.imag[pq]])
         mismatch_norm = float(np.abs(f).max()) if f.size else 0.0
         if not math.isfinite(mismatch_norm):
             break
         if mismatch_norm <= opts.tolerance:
-            return True, iterations, mismatch_norm
+            return True, iterations, mismatch_norm, s_calc
         if iterations > opts.max_iterations:
             break
+        jac = _jacobian(ybus, v, i_bus, vm).take(reduced, 0).take(reduced, 1)
         try:
-            dx = np.linalg.solve(_jacobian(ybus, v, i_bus, vm, reduced), f)
+            dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             logger.warning("singular Jacobian at iteration %d", iterations)
             break
@@ -409,30 +572,37 @@ def _newton(grid: CompiledGrid, s_sched, is_pv, vm, va,
         va[pvpq] += dx[: pvpq.size]
         vm[pq] += dx[pvpq.size:]
         if (vm <= 0.0).any():
-            break
-    return False, iterations, mismatch_norm
+            # v has moved since the last mismatch evaluation
+            v = vm * np.exp(1j * va)
+            return False, iterations, mismatch_norm, v * np.conj(ybus @ v)
+    return False, iterations, mismatch_norm, s_calc
 
 
-def _jacobian(ybus, v, i_bus, vm, reduced):
-    """Polar-form Jacobian [[dP/dth, dP/dV], [dQ/dth, dQ/dV]] on the reduced
-    unknowns (angles at PV+PQ, magnitudes at PQ), from MATPOWER's
-    ``dSbus_dV`` with the diagonal matrices applied by broadcasting:
+def _jacobian(ybus, v, i_bus, vm):
+    """Polar-form Jacobian [[Re dS/dth, Re dS/dVm], [Im dS/dth, Im dS/dVm]]
+    over every bus, from MATPOWER's ``dSbus_dV`` with the diagonal matrices
+    applied by broadcasting:
 
         dS/dth = j diag(V) conj(diag(I) - Y diag(V))
         dS/dVm = diag(V) conj(Y diag(V/Vm)) + conj(diag(I)) diag(V/Vm)
 
-    ``reduced`` is the ``np.ix_`` pair that picks the reduced rows and
-    columns out of [[Re dS/dth, Re dS/dVm], [Im dS/dth, Im dS/dVm]].
+    ``v``, ``i_bus`` and ``vm`` may carry leading axes, one Jacobian per
+    index; the callers pick or pin the rows and columns of their unknowns.
     """
-    n = v.size
     v_norm = v / vm
-    a = -(ybus * v)
-    a.flat[:: n + 1] += i_bus
-    ds_dth = (1j * v)[:, None] * np.conj(a)
-    ds_dvm = v[:, None] * np.conj(ybus * v_norm)
-    ds_dvm.flat[:: n + 1] += np.conj(i_bus) * v_norm
-    ds = np.concatenate([ds_dth, ds_dvm], axis=1)
-    return np.concatenate([ds.real, ds.imag])[reduced]
+    a = -(ybus * v[..., None, :])
+    _diagonal(a)[...] += i_bus
+    ds_dth = (1j * v)[..., :, None] * np.conj(a)
+    ds_dvm = v[..., :, None] * np.conj(ybus * v_norm[..., None, :])
+    _diagonal(ds_dvm)[...] += np.conj(i_bus) * v_norm
+    ds = np.concatenate([ds_dth, ds_dvm], axis=-1)
+    return np.concatenate([ds.real, ds.imag], axis=-2)
+
+
+def _diagonal(m):
+    """Writable view of the diagonals of the contiguous stack ``m``."""
+    n = m.shape[-1]
+    return m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
 def _q_limit_violations(grid: CompiledGrid, q_gen, pinned):

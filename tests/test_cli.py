@@ -265,6 +265,20 @@ def test_retrain_on_truncated_registry_is_a_data_error(tmp_path):
     _assert_data_error(_run_cli("retrain", str(registry), str(tmp_path / "snaps")))
 
 
+@pytest.mark.parametrize("doc, fragment", [
+    ([], "RegistryFile must be a JSON object"),
+    ({}, "missing RegistryFile keys: best_run_id, entries"),
+    ("x", "RegistryFile must be a JSON object"),
+], ids=["list", "empty-object", "string"])
+def test_retrain_on_a_registry_of_another_shape_is_a_data_error_naming_it(tmp_path, doc,
+                                                                          fragment):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "registry.json").write_text(json.dumps(doc))
+    _assert_data_error(_run_cli("retrain", str(registry), str(tmp_path / "snaps")),
+                       f"error: {registry / 'registry.json'}: ", fragment)
+
+
 def _registry_entry(run_id):
     return {"run_id": run_id, "checkpoint_path": f"{run_id}.json", "metrics_path": "m.csv",
             "report": {f.name: 0 for f in fields(EvaluationReport)}}

@@ -1,5 +1,6 @@
 """Snapshot generation, splits, campaign mechanics, registry, retraining."""
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gridsac import harness
-from gridsac.grid_model import load_case
+from gridsac.grid_model import CaseError, load_case
 from gridsac.harness import (CampaignConfig, CampaignError, EvaluationReport,
                              ModelRegistry, RegistryEntry, RunConfig,
                              SelectionMetric, SnapshotGenSpec, _selection_key,
@@ -76,6 +77,46 @@ def test_generated_snapshots_all_solvable(tmp_path):
     out = generate_snapshots(spec_for(tmp_path, n=10, load_scale_high=1.2))
     for case in load_snapshots(out):
         assert solve_newton_raphson(case).converged
+
+
+def _directory_digest(paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+# Each digest covers every file's name, a NUL byte and its bytes, in name
+# order. They were computed while candidates were still solved one at a time
+# by solve_newton_raphson; any change to drawing, solving or writing that
+# alters a file fails here.
+@pytest.mark.parametrize("spec_kw, digest", [
+    (dict(seed=7), "fe46bafa0104e92fda9ff4123b0344270f34a645d6fa49cb44cbb6dd2327a921"),
+    (dict(seed=13, load_scale_low=0.5, load_scale_high=2.6, retries_per_snapshot=20),
+     "6d3be7d886304d57adb2bd800479a17a349bc8403abfefe179d58e2d0a34f77f"),
+], ids=["default", "wide-loads-with-retries"])
+def test_generated_case14_snapshots_keep_their_bytes(tmp_path, monkeypatch, spec_kw, digest):
+    drawn = []
+    drawer = harness._snapshot_drawer
+
+    def counting_drawer(base, spec):
+        draw = drawer(base, spec)
+        return lambda rng: drawn.append(1) or draw(rng)
+
+    monkeypatch.setattr(harness, "_snapshot_drawer", counting_drawer)
+    out = generate_snapshots(spec_for(tmp_path, case=CASE14, n=40, **spec_kw))
+    assert _directory_digest(snapshot_paths(out)) == digest
+    # the wide load range makes candidates fail, so retries run
+    assert (len(drawn) > 40) == (spec_kw["seed"] == 13)
+
+
+def test_retry_budget_exhaustion_names_the_index(tmp_path):
+    spec = spec_for(tmp_path, case=CASE14, n=40, seed=1, load_scale_low=0.5,
+                    load_scale_high=2.6, retries_per_snapshot=2)
+    with pytest.raises(CaseError, match=r"within 2 retries \(index 13\)$"):
+        generate_snapshots(spec)
+    # the snapshots before the failing index are written
+    assert len(snapshot_paths(spec.output_dir)) == 13
 
 
 def test_generation_scales_loads_and_dispatch(tmp_path):

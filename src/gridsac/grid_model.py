@@ -6,7 +6,10 @@ match the dataclass fields one-for-one; :func:`parse_case` and
 :func:`serialize_case` are exact inverses for every representable value.
 
 :func:`serialize_case` writes one top-level key per line and one bus,
-branch, generator or plant record per line. :func:`parse_case` accepts any
+branch, generator or plant record per line. Each record list is encoded by
+one call of json's C encoder, whose text is then split into the record
+lines (:func:`_record_lines` states why the split is exact); each line is
+the record's ``json.dumps``. :func:`parse_case` accepts any
 JSON whitespace, so files in other layouts (such as ``json.dumps(doc,
 indent=2)``) load to the same case. :func:`save_case` is a plain write: a
 file torn by a crash ends before the top-level object closes, and loading
@@ -271,7 +274,8 @@ def _validate(case: GridCase) -> None:
                 raise CaseSemanticError(f"bus {b.id}: {name} not finite")
 
     branch_ids = [b.id for b in case.branches]
-    if len(set(branch_ids)) != len(branch_ids):
+    branch_set = set(branch_ids)
+    if len(branch_set) != len(branch_ids):
         raise CaseSemanticError("duplicate branch id")
     for br in case.branches:
         if br.from_bus not in bus_set or br.to_bus not in bus_set:
@@ -329,7 +333,7 @@ def _validate(case: GridCase) -> None:
         if m not in bus_set:
             raise CaseSemanticError(f"monitored bus {m} does not exist")
     for m in case.monitored_branches:
-        if m not in set(branch_ids):
+        if m not in branch_set:
             raise CaseSemanticError(f"monitored branch {m} does not exist")
 
     _check_connected(case)
@@ -405,18 +409,36 @@ def serialize_case(case: GridCase) -> str:
 
     Each field of the case, and each field of a record, is written under its
     name in field order; a record is the dict of its own fields (``vars``).
-    Every value goes through ``json.dumps`` without ``indent``, which keeps
-    it on CPython's C encoder; the layout is in the module docstring.
+    Every value is encoded without ``indent``, which keeps json on CPython's
+    C encoder; the layout is in the module docstring.
     """
     lines = []
     for name in _CASE_FIELDS:
         value = getattr(case, name)
         if name in _RECORD_LISTS and value:
-            records = ",\n".join("    " + json.dumps(vars(record)) for record in value)
-            lines.append(f'  "{name}": [\n{records}\n  ]')
+            lines.append(f'  "{name}": [\n    {_record_lines(value)}\n  ]')
         else:
             lines.append(f'  "{name}": {json.dumps(value)}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n", ": "))
+
+
+def _record_lines(records) -> str:
+    """``",\n    ".join(json.dumps(vars(r)) for r in records)``, from one
+    encoder call over the whole list.
+
+    The split is exact because the encoder escapes control characters in
+    strings, so no raw newline occurs inside a value, and no record field
+    holds an object (fields are scalars or arrays of scalars). So ``",\n{"``
+    occurs in the text exactly where one record ends and the next begins,
+    and every other ``",\n"`` separates two items of one record or of one
+    array field, which ``json.dumps`` writes as ``", "``.
+    """
+    text = _RECORD_ENCODER.encode(list(map(vars, records)))
+    return ",\n    {".join(part.replace(",\n", ", ")
+                           for part in text[1:-1].split(",\n{"))
 
 
 def load_case(path: str | Path) -> GridCase:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -89,6 +90,9 @@ class SnapshotGenSpec:
     retries_per_snapshot: int = 20
 
     def __post_init__(self):
+        for name in ("load_scale_low", "load_scale_high", "setpoint_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if not (0 < self.load_scale_low <= self.load_scale_high):
             raise ValueError("need 0 < load_scale_low <= load_scale_high")
         if self.setpoint_jitter < 0:
@@ -203,29 +207,36 @@ def generate_snapshots(spec: SnapshotGenSpec) -> Path:
 
 def _snapshot_drawer(base: GridCase, spec: SnapshotGenSpec):
     """The function that draws one candidate snapshot around ``base`` from
-    an RNG; the base's total load and plant setpoints are computed here,
-    once."""
-    total_before = sum(b.p_load for b in base.buses)
-    nominal_setpoints = tuple(zip(base.plant_order, plant_setpoints(base)))
+    an RNG; the base's bus ids, load columns, total load and plant
+    setpoints are read here, once.
+
+    Each vector of draws is one ``rng.uniform`` call, which yields the same
+    doubles in the same order as one scalar call per element. Values stay
+    Python floats, so ``sum`` adds them as it adds the base's loads.
+    """
+    bus_ids = [b.id for b in base.buses]
+    p_base = [b.p_load for b in base.buses]
+    q_base = [b.q_load for b in base.buses]
+    total_before = sum(p_base)
+    plant_ids = base.plant_order
+    nominal_setpoints = plant_setpoints(base).tolist()
+    low, high, jitter = spec.load_scale_low, spec.load_scale_high, spec.setpoint_jitter
 
     def draw(rng: np.random.Generator) -> GridCase:
         if spec.per_load_scaling:
-            factors = {b.id: rng.uniform(spec.load_scale_low, spec.load_scale_high)
-                       for b in base.buses}
+            factors = rng.uniform(low, high, len(bus_ids)).tolist()
         else:
-            f = rng.uniform(spec.load_scale_low, spec.load_scale_high)
-            factors = {b.id: f for b in base.buses}
-        p_load = {b.id: b.p_load * factors[b.id] for b in base.buses}
-        q_load = {b.id: b.q_load * factors[b.id] for b in base.buses}
-        total_after = sum(p_load.values())
-        ratio = total_after / total_before if total_before > 0 else 1.0
-        p_gen = {g.id: float(np.clip(g.p_gen * ratio, g.p_min, g.p_max))
+            factors = [rng.uniform(low, high)] * len(bus_ids)
+        p_load = [p * f for p, f in zip(p_base, factors)]
+        q_load = [q * f for q, f in zip(q_base, factors)]
+        ratio = sum(p_load) / total_before if total_before > 0 else 1.0
+        # min(max(x, low), high) equals float(np.clip(x, low, high)), for -0.0 and NaN too
+        p_gen = {g.id: min(max(g.p_gen * ratio, g.p_min), g.p_max)
                  for g in base.generators}
-        setpoints = {pid: float(np.clip(nominal + rng.uniform(-spec.setpoint_jitter,
-                                                               spec.setpoint_jitter),
-                                        V_SET_MIN, V_SET_MAX))
-                     for pid, nominal in nominal_setpoints}
-        case = with_loads(base, p_load, q_load)
+        jitters = rng.uniform(-jitter, jitter, len(plant_ids)).tolist()
+        setpoints = {pid: min(max(nominal + dv, V_SET_MIN), V_SET_MAX)
+                     for pid, nominal, dv in zip(plant_ids, nominal_setpoints, jitters)}
+        case = with_loads(base, dict(zip(bus_ids, p_load)), dict(zip(bus_ids, q_load)))
         case = with_generation(case, p_gen)
         return with_plant_setpoints(case, setpoints)
     return draw

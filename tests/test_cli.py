@@ -126,6 +126,20 @@ def test_generate_snapshots_spec_with_unknown_or_missing_key(tmp_path, key, edit
     assert key in proc.stderr
 
 
+@pytest.mark.parametrize("key, value", [("setpoint_jitter", float("nan")),
+                                        ("setpoint_jitter", float("inf")),
+                                        ("load_scale_high", float("inf"))],
+                         ids=["jitter-nan", "jitter-inf", "high-inf"])
+def test_generate_snapshots_spec_with_a_non_finite_value_is_a_data_error(tmp_path, key, value):
+    spec = write_spec(tmp_path, **{key: value})
+    proc = _run_cli("generate-snapshots", str(spec))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
+    assert not (tmp_path / "snaps").exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("generate-snapshots", "n_snapshots", "3"),
     ("train", "train_fraction", "0.8"),

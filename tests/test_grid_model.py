@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
                                 CaseSyntaxError, Generator, GridCase, Plant,
                                 bundled_case, bundled_case_names,
-                                derive_admittance_params,
+                                derive_admittance_params, load_case,
                                 parse_case, serialize_case,
                                 with_generation, with_loads,
                                 with_plant_setpoints)
+from gridsac.harness import SnapshotGenSpec, generate_snapshots, snapshot_paths
 
-from conftest import make_two_bus
+from conftest import make_three_bus, make_two_bus
 
 MINIMAL_TWO_BUS = """
 {
@@ -288,6 +289,86 @@ def test_case_file_has_one_record_per_line(case3):
                           '  "monitored_branches": [1, 2, 3]', '}']
 
 
+# --- serializer oracle: the per-record writer serialize_case replaced ----------
+
+RECORD_LISTS = ("buses", "branches", "generators", "plants")
+
+
+def per_record_text(case):
+    """The case-file text as one ``json.dumps`` per record and per inline
+    value wrote it; ``serialize_case`` must write the same bytes."""
+    lines = []
+    for f in fields(GridCase):
+        value = getattr(case, f.name)
+        if f.name in RECORD_LISTS and value:
+            records = ",\n".join("    " + json.dumps(vars(record)) for record in value)
+            lines.append(f'  "{f.name}": [\n{records}\n  ]')
+        else:
+            lines.append(f'  "{f.name}": {json.dumps(value)}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def one_plant_of_two_generators(name):
+    """Three buses, both generators in one plant named ``name``, so the
+    plant's ``generators`` array has two items."""
+    case = make_three_bus()
+    return replace(case,
+                   generators=tuple(replace(g, plant=1) for g in case.generators),
+                   plants=(Plant(id=1, name=name, generators=(1, 2)),))
+
+
+AWKWARD_NAMES = ["a}, {b", 'a",\n"b', 'a}, {b,\n"x\u00e9\\', 'say "hi"', "back\\slash\\",
+                 "ctl \x00\x01\x1f\t\r\n\x7f", "Kraftwerk S\u00fcd \u5317 \U0001f50c", "{", "},", ""]
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES)
+def test_serializer_matches_the_per_record_writer_on_awkward_plant_names(name):
+    case = one_plant_of_two_generators(name)
+    text = serialize_case(case)
+    assert text == per_record_text(case)
+    assert parse_case(text) == case
+
+
+def test_serializer_matches_the_per_record_writer_on_extreme_floats():
+    case = make_three_bus()
+    buses = (replace(case.buses[0], v_ang=-0.0, g_shunt=1e-300, v_max=float("inf")),
+             replace(case.buses[1], p_load=1e300, q_load=-1e-300, b_shunt=-0.0),
+             case.buses[2])
+    branches = (replace(case.branches[0], b_charge=1e-300, s_max=1e300),
+                *case.branches[1:])
+    generators = (replace(case.generators[0], p_gen=-0.0, q_min=-1e300, q_max=1e300),
+                  case.generators[1])
+    case = replace(case, base_mva=1e300, buses=buses, branches=branches,
+                   generators=generators)
+    text = serialize_case(case)
+    assert text == per_record_text(case)
+    for literal in ('"v_ang": -0.0', "1e-300", "1e+300", '"p_gen": -0.0', "Infinity"):
+        assert literal in text
+    assert parse_case(text) == case
+
+
+def test_serializer_matches_the_per_record_writer_on_empty_record_lists():
+    case = GridCase(base_mva=50.0, buses=(Bus(id=7, kind=BusKind.SLACK),),
+                    branches=(), generators=(), plants=(),
+                    monitored_buses=(), monitored_branches=())
+    assert serialize_case(case) == per_record_text(case)
+
+
+@pytest.mark.parametrize("name", bundled_case_names())
+def test_serializer_matches_the_per_record_writer_on_bundled_cases(name):
+    case = bundled_case(name)
+    assert serialize_case(case) == per_record_text(case)
+
+
+def test_serializer_matches_the_per_record_writer_on_generated_snapshots(tmp_path):
+    spec = SnapshotGenSpec(base_case_path="src/gridsac/cases/case14.json",
+                           output_dir=str(tmp_path), n_snapshots=8,
+                           setpoint_jitter=0.2, seed=3)
+    for path in snapshot_paths(generate_snapshots(spec)):
+        case = load_case(path)
+        assert path.read_text() == serialize_case(case) == per_record_text(case)
+
+
 @pytest.mark.parametrize("name", bundled_case_names())
 def test_serialized_text_loads_to_its_document(name):
     case = bundled_case(name)
@@ -397,6 +478,14 @@ def test_generated_cases_roundtrip_exactly(case):
     # construction already enforced the invariants; serialization is lossless
     recovered = parse_case(serialize_case(case))
     assert recovered == case
+
+
+@given(grid_cases(), st.lists(st.text(max_size=8), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_generated_case_text_matches_the_per_record_writer(case, names):
+    plants = tuple(replace(p, name=names[i % len(names)]) for i, p in enumerate(case.plants))
+    case = replace(case, plants=plants)
+    assert serialize_case(case) == per_record_text(case)
 
 
 @given(grid_cases())

@@ -9,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridsac import harness
-from gridsac.grid_model import CaseError, load_case
+from gridsac import environment, harness
+from gridsac.grid_model import (V_SET_MAX, V_SET_MIN, CaseError, load_case,
+                                plant_setpoints, serialize_case, with_generation,
+                                with_loads, with_plant_setpoints)
 from gridsac.harness import (CampaignConfig, CampaignError, EvaluationReport,
                              ModelRegistry, RegistryEntry, RunConfig,
                              SelectionMetric, SnapshotGenSpec, _selection_key,
                              config_from_file, evaluate, generate_snapshots,
                              load_snapshots, periodic_retrain, run_campaign,
                              snapshot_paths, split_snapshots)
-from gridsac.power_flow import audit_violations, solve_newton_raphson
+from gridsac.power_flow import SolverOptions, audit_violations, solve_newton_raphson
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
 CASE3 = "src/gridsac/cases/case3.json"
@@ -110,6 +112,78 @@ def test_generated_case14_snapshots_keep_their_bytes(tmp_path, monkeypatch, spec
     assert (len(drawn) > 40) == (spec_kw["seed"] == 13)
 
 
+# The draw branches the digests above leave out: one load factor for every
+# bus, setpoints jittered past V_SET_MIN and V_SET_MAX, and case3. Computed,
+# like those, before the draws became one rng.uniform call per vector.
+@pytest.mark.parametrize("case, spec_kw, digest", [
+    (CASE14, dict(seed=7, per_load_scaling=False),
+     "08414cc40bdcbff48f827113b84621b997196074f0ba78405e31cbddd1d30535"),
+    (CASE14, dict(seed=7, setpoint_jitter=0.2),
+     "b2c696592a4c1a7f52e3fb119a9c60fcdab59524027fad5536288bd91e0d6c7c"),
+    (CASE3, dict(seed=7), "9f9fac4b5d0c173458d7b3a7a7997420380c5e19a537abc00dd55973c98e82b8"),
+], ids=["global-scaling", "clipped-setpoints", "case3"])
+def test_generated_snapshots_keep_their_bytes_on_every_draw_branch(tmp_path, case, spec_kw,
+                                                                   digest):
+    out = generate_snapshots(spec_for(tmp_path, case=case, n=40, **spec_kw))
+    assert _directory_digest(snapshot_paths(out)) == digest
+    if spec_kw.get("setpoint_jitter") == 0.2:
+        v_set = {g.v_set for c in load_snapshots(out) for g in c.generators}
+        assert {V_SET_MIN, V_SET_MAX} <= v_set
+
+
+def reference_drawer(base, spec):
+    """The drawer as it was before one rng.uniform call per vector: one
+    scalar draw per load factor and per jitter, clipped with np.clip."""
+    total_before = sum(b.p_load for b in base.buses)
+    nominal_setpoints = tuple(zip(base.plant_order, plant_setpoints(base)))
+
+    def draw(rng):
+        if spec.per_load_scaling:
+            factors = {b.id: rng.uniform(spec.load_scale_low, spec.load_scale_high)
+                       for b in base.buses}
+        else:
+            f = rng.uniform(spec.load_scale_low, spec.load_scale_high)
+            factors = {b.id: f for b in base.buses}
+        p_load = {b.id: b.p_load * factors[b.id] for b in base.buses}
+        q_load = {b.id: b.q_load * factors[b.id] for b in base.buses}
+        total_after = sum(p_load.values())
+        ratio = total_after / total_before if total_before > 0 else 1.0
+        p_gen = {g.id: float(np.clip(g.p_gen * ratio, g.p_min, g.p_max))
+                 for g in base.generators}
+        setpoints = {pid: float(np.clip(nominal + rng.uniform(-spec.setpoint_jitter,
+                                                               spec.setpoint_jitter),
+                                        V_SET_MIN, V_SET_MAX))
+                     for pid, nominal in nominal_setpoints}
+        case = with_loads(base, p_load, q_load)
+        case = with_generation(case, p_gen)
+        return with_plant_setpoints(case, setpoints)
+    return draw
+
+
+def _signed_zero_dispatch(case):
+    """``case`` with a generator at p_gen -0.0 and p_min 0.0, which np.clip
+    leaves at -0.0."""
+    g = case.generators[-1]
+    return replace(case, generators=(*case.generators[:-1],
+                                     replace(g, p_gen=-0.0, p_min=0.0)))
+
+
+@pytest.mark.parametrize("case", [CASE3, CASE14])
+@pytest.mark.parametrize("per_load_scaling", [True, False], ids=["per-load", "global"])
+@pytest.mark.parametrize("low, high", [(0.8, 1.2), (0.5, 2.6), (1.0, 1.0)])
+@pytest.mark.parametrize("jitter", [0.02, 0.2, 0.0])
+def test_drawer_draws_what_the_scalar_drawer_drew(tmp_path, case, per_load_scaling, low,
+                                                  high, jitter):
+    spec = spec_for(tmp_path, case=case, load_scale_low=low, load_scale_high=high,
+                    per_load_scaling=per_load_scaling, setpoint_jitter=jitter)
+    for base in (load_case(case), _signed_zero_dispatch(load_case(case))):
+        draw, reference = harness._snapshot_drawer(base, spec), reference_drawer(base, spec)
+        for seed in (0, 1):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert serialize_case(draw(rng)) == serialize_case(reference(ref_rng))
+
+
 def test_retry_budget_exhaustion_names_the_index(tmp_path):
     spec = spec_for(tmp_path, case=CASE14, n=40, seed=1, load_scale_low=0.5,
                     load_scale_high=2.6, retries_per_snapshot=2)
@@ -155,6 +229,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SnapshotGenSpec(base_case_path=CASE3, output_dir="x", n_snapshots=1,
                         load_scale_low=1.5, load_scale_high=1.2)
+
+
+@pytest.mark.parametrize("key", ["load_scale_low", "load_scale_high", "setpoint_jitter"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_spec_refuses_non_finite_draw_bounds(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        SnapshotGenSpec(base_case_path=CASE3, output_dir="x", n_snapshots=1, **{key: value})
 
 
 # --- split -----------------------------------------------------------------------
@@ -425,6 +506,31 @@ def test_evaluate_report_fields(tmp_path):
     assert report.p95_latency_s <= report.max_latency_s
     assert report.violations_resolved + report.violations_mitigated <= max(
         report.violation_snapshots, 1)
+
+
+def test_evaluate_when_every_first_control_step_diverges(tmp_path, monkeypatch):
+    # Base solves (flat start) converge; every warm solve of a control step
+    # reports divergence, so each episode ends on its first step.
+    ck = checkpoint_of_fresh_agent(tmp_path)
+    out = generate_snapshots(spec_for(tmp_path, n=4))
+    solve = environment.solve_newton_raphson
+    steps = []
+
+    def warm_solves_diverge(case, start=None, opts=SolverOptions(), *, grid=None):
+        sol = solve(case, start, opts, grid=grid)
+        if opts.flat_start:
+            return sol
+        steps.append(case)
+        return replace(sol, converged=False)
+
+    monkeypatch.setattr(environment, "solve_newton_raphson", warm_solves_diverge)
+    report = evaluate(ck, out)
+    assert len(steps) == report.n_snapshots == 4
+    assert report.valid_control_fraction == 0
+    assert report.reduced_fraction == report.non_degrading_fraction == 0
+    assert report.mean_loss_reduction_pct == 0
+    assert report.violations_resolved == report.violations_mitigated == 0
+    assert report.skipped_snapshots == 0
 
 
 # --- registry ------------------------------------------------------------------------

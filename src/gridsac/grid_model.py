@@ -15,6 +15,15 @@ indent=2)``) load to the same case. :func:`save_case` is a plain write: a
 file torn by a crash ends before the top-level object closes, and loading
 it raises :class:`CaseSyntaxError` with the line it ends on.
 
+Memo: snapshots drawn from one base case share its ``branches``,
+``plants`` and monitored lists, as the very same tuple objects, since the
+``with_*`` helpers never copy a field they do not change. So
+:func:`serialize_case` keeps, per case field, the last tuple it encoded and
+the line it wrote, and reuses that line while the next case holds the same
+tuple object; a drawn snapshot has only ``base_mva``, ``buses`` and
+``generators`` encoded. The file keeps every byte it would have without the
+memo; :func:`serialize_case` states the rules that make that so.
+
 Case files and config files are read under one rule, by :func:`from_json`:
 each value has the JSON type of its dataclass field (an integer for an
 ``int``, any number for a ``float``, ``true``/``false`` for a ``bool``, a
@@ -404,6 +413,11 @@ _RECORD_LISTS = frozenset(name for name, tp in get_type_hints(GridCase).items()
                           if any(is_dataclass(arg) for arg in get_args(tp)))
 
 
+# serialize_case's memo: per case field, the last tuple it encoded and the
+# line it wrote for it, as one (value, line) pair. See serialize_case.
+_LINE_MEMO: dict[str, tuple[Any, str]] = dict.fromkeys(_CASE_FIELDS, (object(), ""))
+
+
 def serialize_case(case: GridCase) -> str:
     """Emit the canonical case-file text; exact inverse of :func:`parse_case`.
 
@@ -411,14 +425,37 @@ def serialize_case(case: GridCase) -> str:
     name in field order; a record is the dict of its own fields (``vars``).
     Every value is encoded without ``indent``, which keeps json on CPython's
     C encoder; the layout is in the module docstring.
+
+    A field that holds the very tuple last encoded for it reuses the line
+    written then (the Memo paragraph of the module docstring). The memo is
+    exact under these rules:
+
+    - A value matches on identity (``is``) only, never ``==``: ``-0.0 ==
+      0.0`` and ``1 == 1.0 == True``, yet each is written differently.
+    - A value is remembered only when ``type(value) is tuple``; a list can
+      change between two calls.
+    - The entry holds a strong reference to its value, so the value's id
+      cannot be reused by another object while the entry exists.
+    - Each entry is one immutable ``(value, line)`` pair, written in one
+      assignment, so a thread never reads the value of one entry with the
+      line of another.
+    - Records are frozen, with scalar or tuple fields, so a tuple of records
+      cannot change under its identity. :func:`from_json` and the
+      ``with_*`` helpers build them that way, and the package constructs no
+      :class:`GridCase` or :class:`Plant` directly.
     """
     lines = []
     for name in _CASE_FIELDS:
         value = getattr(case, name)
-        if name in _RECORD_LISTS and value:
-            lines.append(f'  "{name}": [\n    {_record_lines(value)}\n  ]')
-        else:
-            lines.append(f'  "{name}": {json.dumps(value)}')
+        memo_value, line = _LINE_MEMO[name]
+        if memo_value is not value:
+            if name in _RECORD_LISTS and value:
+                line = f'  "{name}": [\n    {_record_lines(value)}\n  ]'
+            else:
+                line = f'  "{name}": {json.dumps(value)}'
+            if type(value) is tuple:
+                _LINE_MEMO[name] = (value, line)
+        lines.append(line)
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 

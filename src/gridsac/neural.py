@@ -97,14 +97,16 @@ class ForwardTape:
 class GradientSet:
     """Parameter gradients in the network's flat layout (``d_weights[l]`` and
     ``d_biases[l]`` are views into ``d_params``), plus the gradient w.r.t.
-    the network input."""
+    the network input. Either part is None where :func:`backward` was told
+    to skip it."""
 
     layer_dims: tuple[int, ...]
-    d_params: np.ndarray
+    d_params: np.ndarray | None
     d_input: np.ndarray | None = None
 
     def __post_init__(self):
-        self.d_weights, self.d_biases = _layer_views(self.layer_dims, self.d_params)
+        if self.d_params is not None:
+            self.d_weights, self.d_biases = _layer_views(self.layer_dims, self.d_params)
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.d_params).all())
@@ -146,19 +148,24 @@ def forward(net: DenseNetwork, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     last = net.n_layers - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre_acts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
     out = h[0] if single else h
     return out, ForwardTape(inputs=inputs, pre_activations=pre_acts)
 
 
-def backward(net: DenseNetwork, tape: ForwardTape, output_grad: np.ndarray) -> GradientSet:
+def backward(net: DenseNetwork, tape: ForwardTape, output_grad: np.ndarray, *,
+             param_grads: bool = True, input_grad: bool = True) -> GradientSet:
     """Exact gradients of the scalar whose output-gradient is ``output_grad``.
 
     For batched tapes the parameter gradients accumulate over rows, so the
     caller owns any 1/B averaging. Also returns d_input for chaining through
     the network's input (used by the policy update through the critics).
+    A caller that reads only one of the two passes ``param_grads=False``
+    (``d_params`` is then None) or ``input_grad=False`` (``d_input`` stays
+    None); the gradients it does get are the same either way.
     """
     if len(tape.inputs) != net.n_layers:
         raise ValueError("tape does not match network depth")
@@ -168,14 +175,17 @@ def backward(net: DenseNetwork, tape: ForwardTape, output_grad: np.ndarray) -> G
     if g.shape != tape.pre_activations[-1].shape:
         raise ValueError(
             f"output_grad shape {g.shape} != forward output {tape.pre_activations[-1].shape}")
-    grads = GradientSet(net.layer_dims, np.empty_like(net.params))
+    grads = GradientSet(net.layer_dims, np.empty_like(net.params) if param_grads else None)
     for l in range(net.n_layers - 1, -1, -1):
         if l != net.n_layers - 1:
             g *= tape.pre_activations[l] > 0.0  # g is this pass's own array here
-        np.matmul(tape.inputs[l].T, g, out=grads.d_weights[l])
-        g.sum(axis=0, out=grads.d_biases[l])
-        g = g @ net.weights[l].T
-    grads.d_input = g[0] if single else g
+        if param_grads:
+            np.matmul(tape.inputs[l].T, g, out=grads.d_weights[l])
+            g.sum(axis=0, out=grads.d_biases[l])
+        if l > 0 or input_grad:     # layer 0's product is the input gradient
+            g = g @ net.weights[l].T
+    if input_grad:
+        grads.d_input = g[0] if single else g
     return grads
 
 

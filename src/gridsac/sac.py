@@ -95,6 +95,8 @@ class SacConfig:
             raise ValueError("start_steps must be >= batch_size")
         if self.updates_per_step < 1:
             raise ValueError("updates_per_step must be >= 1")
+        if self.target_entropy is not None and not np.isfinite(self.target_entropy):
+            raise ValueError(f"target_entropy={self.target_entropy} must be finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SacConfig":
@@ -288,14 +290,11 @@ class SacAgent:
     # --- policy evaluation ---------------------------------------------
 
     def _policy_stats(self, states: np.ndarray):
-        """Mean, clamped log-std, the clamp pass-through mask, and the tape."""
+        """Mean, clamped log-std, the unclamped log-std, and the tape."""
         out, tape = forward(self.policy, states)
         d = self.action_dim
-        mean = out[..., :d]
         log_std_raw = out[..., d:]
-        log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-        mask = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)
-        return mean, log_std, mask, tape
+        return out[..., :d], np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX), log_std_raw, tape
 
     def _sample(self, states: np.ndarray, rng: np.random.Generator):
         """Reparameterized policy sample: squashed actions and their log-probs."""
@@ -364,7 +363,7 @@ class SacAgent:
         fixed critics. Returns (grads, loss, logp)."""
         b = states.shape[0]
         alpha = self.alpha
-        mean, log_std, mask, tape = self._policy_stats(states)
+        mean, log_std, log_std_raw, tape = self._policy_stats(states)
         a, logp = _squashed_gaussian(mean, log_std, eps)
         std = np.exp(log_std)
 
@@ -376,18 +375,21 @@ class SacAgent:
 
         # -d(mean q_min)/da, routed through whichever critic attains the min.
         pick1 = (q1_pi[:, 0] <= q2_pi[:, 0]).astype(float)
-        g1 = backward(self.q1, tape1, (-pick1 / b)[:, None]).d_input
-        g2 = backward(self.q2, tape2, (-(1.0 - pick1) / b)[:, None]).d_input
+        g1 = backward(self.q1, tape1, (-pick1 / b)[:, None], param_grads=False).d_input
+        g2 = backward(self.q2, tape2, (-(1.0 - pick1) / b)[:, None],
+                      param_grads=False).d_input
         dq_da = (g1 + g2)[:, self.state_dim:]
 
         one_m_a2 = 1.0 - a ** 2
         # d(log pi)/du, all through the tanh correction term.
         c = 2.0 * a * one_m_a2 / (one_m_a2 + TANH_EPS)
         gy_mean = (alpha / b) * c + dq_da * one_m_a2
+        # The clamp passes the gradient only where it did not bind.
+        mask = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)
         gy_log_std = ((alpha / b) * (c * std * eps - 1.0)
                       + dq_da * one_m_a2 * std * eps) * mask
         grads = backward(self.policy, tape,
-                         np.concatenate([gy_mean, gy_log_std], axis=1))
+                         np.concatenate([gy_mean, gy_log_std], axis=1), input_grad=False)
         return grads, loss, logp
 
     def update_from_batch(self, batch: Batch) -> UpdateStats:
@@ -404,7 +406,7 @@ class SacAgent:
             q, tape = forward(net, sa)
             err = q[:, 0] - y
             q_losses.append(float(np.mean(err ** 2)))
-            adam_step(net, backward(net, tape, (2.0 * err / b)[:, None]), opt)
+            adam_step(net, backward(net, tape, (2.0 * err / b)[:, None], input_grad=False), opt)
 
         # Policy step with reparameterized actions against the fresh critics.
         eps = self.rng.standard_normal((b, self.action_dim))

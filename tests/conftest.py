@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from gridsac import power_flow
+from gridsac.environment import GridControlEnv
 from gridsac.grid_model import (Branch, Bus, BusKind, Generator, GridCase,
                                 Plant, bundled_case)
 
@@ -71,3 +74,30 @@ def two_bus():
 @pytest.fixture
 def three_bus():
     return make_three_bus()
+
+
+def singular_jacobian_from_second_step(monkeypatch):
+    """Make every Newton Jacobian built inside ``GridControlEnv.step`` all
+    zero (singular) from an episode's second control step on; base solves
+    and the first step keep the true Jacobian. Returns a dict whose
+    ``"singular"`` entry counts the zeroed Jacobians."""
+    jacobian, step = power_flow._jacobian, GridControlEnv.step
+    state = {"on": False, "singular": 0}
+
+    def zeroed_jacobian(*args):
+        jac = jacobian(*args)
+        if not state["on"]:
+            return jac
+        state["singular"] += 1
+        return np.zeros_like(jac)
+
+    def step_with_singular_jacobian(env, action):
+        state["on"] = env.episode.step_count >= 1
+        try:
+            return step(env, action)
+        finally:
+            state["on"] = False
+
+    monkeypatch.setattr(power_flow, "_jacobian", zeroed_jacobian)
+    monkeypatch.setattr(GridControlEnv, "step", step_with_singular_jacobian)
+    return state

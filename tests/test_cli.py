@@ -193,6 +193,18 @@ def test_solve_case_with_a_value_of_the_wrong_json_type_is_a_data_error(
     _assert_data_error(_run_cli("solve", str(path)), str(path), fragment)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_with_a_non_finite_target_entropy_is_a_data_error(tmp_path, value):
+    # With snapshots in place, only the config value can stop the run.
+    assert main(["generate-snapshots", str(write_spec(tmp_path))]) == 0
+    doc = micro_run_doc(tmp_path / "snaps")
+    doc["sac"]["target_entropy"] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    _assert_data_error(_run_cli("train", str(path), "--out", str(tmp_path / "runs")),
+                       "target_entropy")
+
+
 def test_train_evaluate_retrain_pipeline(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["generate-snapshots", str(spec)]) == 0

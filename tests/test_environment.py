@@ -13,6 +13,8 @@ from gridsac.environment import (Action, DIVERGENCE_REWARD, DoneReason,
 from gridsac.grid_model import serialize_case, with_loads, with_plant_setpoints
 from gridsac.power_flow import ViolationReport, solve_newton_raphson
 
+from conftest import singular_jacobian_from_second_step
+
 
 def report_with(overflow=0.0, violation=0.0):
     report = ViolationReport()
@@ -300,6 +302,23 @@ def test_divergent_action_penalized(case3):
     else:
         # if the solver still converges the reward must come from the table
         assert result.reward <= 0.0
+
+
+def test_singular_jacobian_mid_episode_ends_it_diverged(case3, monkeypatch, caplog):
+    patched = singular_jacobian_from_second_step(monkeypatch)
+    env = env_on([case3])
+    _, _, _, v_set_ini, _ = env.reset()
+    first = env.step(Action(v_set_ini))
+    assert first.done_reason is DoneReason.RUNNING
+    assert patched["singular"] == 0
+    with caplog.at_level("WARNING", logger="gridsac.power_flow"):
+        result = env.step(Action(v_set_ini + 0.01))
+    assert patched["singular"] >= 1
+    assert "singular Jacobian" in caplog.text
+    assert result.done and result.done_reason is DoneReason.DIVERGED
+    assert result.reward == DIVERGENCE_REWARD
+    assert result.next_state is first.next_state
+    assert np.isnan(result.info["p_loss"])
 
 
 def test_step_deterministic_and_base_solution_immutable(case3):

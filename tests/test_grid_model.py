@@ -4,13 +4,15 @@ import json
 from dataclasses import asdict, fields, replace
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsac.grid_model import (Branch, Bus, BusKind, CaseSemanticError,
-                                CaseSyntaxError, Generator, GridCase, Plant,
-                                bundled_case, bundled_case_names,
+from gridsac import grid_model
+from gridsac.grid_model import (V_SET_MAX, V_SET_MIN, Branch, Bus, BusKind,
+                                CaseSemanticError, CaseSyntaxError, Generator,
+                                GridCase, Plant, bundled_case, bundled_case_names,
                                 derive_admittance_params, load_case,
                                 parse_case, serialize_case,
                                 with_generation, with_loads,
@@ -367,6 +369,45 @@ def test_serializer_matches_the_per_record_writer_on_generated_snapshots(tmp_pat
     for path in snapshot_paths(generate_snapshots(spec)):
         case = load_case(path)
         assert path.read_text() == serialize_case(case) == per_record_text(case)
+
+
+# --- serialize_case's memo: a field's line is reused while it is the same tuple --
+
+def test_memo_reuses_the_base_lines_for_drawn_candidates(case14):
+    rng = np.random.default_rng(5)
+    assert serialize_case(case14) == per_record_text(case14)
+    for _ in range(50):
+        loads = {b.id: b.p_load * rng.uniform(0.5, 1.5) for b in case14.buses}
+        setpoints = {pid: rng.uniform(V_SET_MIN, V_SET_MAX) for pid in case14.plant_order}
+        case = with_plant_setpoints(with_loads(case14, loads), setpoints)
+        assert case.branches is case14.branches and case.plants is case14.plants
+        assert serialize_case(case) == per_record_text(case)
+    # The shared fields hit their entries, so the entries still hold the base's tuples.
+    for name in ("branches", "plants", "monitored_buses", "monitored_branches"):
+        assert grid_model._LINE_MEMO[name][0] is getattr(case14, name)
+
+
+def test_memo_follows_two_bases_serialized_in_turn(case3, case14):
+    for case in (case3, case14, case3, case3, case14, case14, case3):
+        assert serialize_case(case) == per_record_text(case)
+
+
+def test_memo_tells_equal_tuples_apart_by_identity():
+    case = make_three_bus()
+    signed = tuple(replace(br, b_charge=-0.0) for br in case.branches)
+    other = replace(case, branches=signed)
+    assert signed == case.branches and signed is not case.branches
+    for c in (case, other, case):
+        assert serialize_case(c) == per_record_text(c)
+    assert '"b_charge": -0.0' in serialize_case(other)
+
+
+def test_memo_does_not_remember_a_list_that_changes_between_calls():
+    case = replace(make_three_bus(), monitored_buses=[1, 2, 3])
+    assert serialize_case(case) == per_record_text(case)
+    case.monitored_buses[:] = [3, 1]
+    assert serialize_case(case) == per_record_text(case)
+    assert '  "monitored_buses": [3, 1],' in serialize_case(case).splitlines()
 
 
 @pytest.mark.parametrize("name", bundled_case_names())

@@ -22,6 +22,8 @@ from gridsac.harness import (CampaignConfig, CampaignError, EvaluationReport,
 from gridsac.power_flow import SolverOptions, audit_violations, solve_newton_raphson
 from gridsac.sac import SacAgent, SacConfig, save_checkpoint
 
+from conftest import singular_jacobian_from_second_step
+
 CASE3 = "src/gridsac/cases/case3.json"
 CASE14 = "src/gridsac/cases/case14.json"
 
@@ -531,6 +533,17 @@ def test_evaluate_when_every_first_control_step_diverges(tmp_path, monkeypatch):
     assert report.mean_loss_reduction_pct == 0
     assert report.violations_resolved == report.violations_mitigated == 0
     assert report.skipped_snapshots == 0
+
+
+def test_evaluate_when_the_jacobian_turns_singular_mid_episode(tmp_path, monkeypatch):
+    patched = singular_jacobian_from_second_step(monkeypatch)
+    ck = checkpoint_of_fresh_agent(tmp_path)
+    report = evaluate(ck, generate_snapshots(spec_for(tmp_path, n=4)))
+    # Each episode's second step meets one singular Jacobian and diverges.
+    assert patched["singular"] == report.n_snapshots == 4
+    assert report.skipped_snapshots == 0
+    assert report.valid_control_fraction == 0
+    assert report.mean_episode_reward <= -100.0
 
 
 # --- registry ------------------------------------------------------------------------

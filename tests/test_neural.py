@@ -113,6 +113,21 @@ def test_backward_is_linear_in_output_grad():
     assert np.allclose(g3, 3.0 * g1, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(4, 2), (4, 8, 2), (6, 16, 16, 3)])
+def test_backward_skips_only_the_products_the_caller_turns_off(dims):
+    rng = np.random.default_rng(8)
+    net = init_network(dims, rng)
+    _, tape = forward(net, rng.normal(size=(5, dims[0])))
+    gy = rng.normal(size=(5, dims[-1]))
+    full = backward(net, tape, gy)
+    params_only = backward(net, tape, gy, input_grad=False)
+    input_only = backward(net, tape, gy, param_grads=False)
+    assert np.array_equal(params_only.d_params, full.d_params)
+    assert params_only.d_input is None
+    assert np.array_equal(input_only.d_input, full.d_input)
+    assert input_only.d_params is None
+
+
 def test_backward_rejects_mismatched_tape():
     rng = np.random.default_rng(5)
     net = init_network((4, 8, 2), rng)

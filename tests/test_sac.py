@@ -17,6 +17,8 @@ from gridsac.sac import (Batch, ReplayBuffer, SacAgent, SacConfig, SelectMode,
                          Transition, load_checkpoint, raw_to_setpoints,
                          save_checkpoint, setpoints_to_raw, train)
 
+from conftest import singular_jacobian_from_second_step
+
 STATE_DIM = 6
 ACTION_DIM = 2
 
@@ -407,6 +409,17 @@ def test_train_writes_metrics_and_a_final_checkpoint_with_the_env_normalizer(tmp
     assert np.array_equal(normalizer.mean, env.normalizer.mean)
     assert np.array_equal(normalizer.scale, env.normalizer.scale)
     assert np.array_equal(loaded.policy.params, agent.policy.params)
+
+
+def test_train_finishes_when_the_jacobian_turns_singular_mid_episode(tmp_path, monkeypatch):
+    patched = singular_jacobian_from_second_step(monkeypatch)
+    agent = SacAgent.create(12, 2, SacConfig(random_seed=11))
+    metrics = train(agent, toy_env(n_snaps=4), tmp_path / "run")
+    # Each episode's second step meets one singular Jacobian and diverges.
+    assert patched["singular"] == len(metrics) == 4
+    assert all(m.steps == 2 and m.done_reason == "Diverged" and m.reward <= -100.0
+               for m in metrics)
+    assert (tmp_path / "run" / "checkpoints" / "final.json").exists()
 
 
 @pytest.mark.parametrize("max_steps", [3, 12])

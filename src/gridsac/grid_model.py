@@ -24,6 +24,15 @@ tuple object; a drawn snapshot has only ``base_mva``, ``buses`` and
 ``generators`` encoded. The file keeps every byte it would have without the
 memo; :func:`serialize_case` states the rules that make that so.
 
+Reading mirrors it: such snapshot files repeat those fields' text byte for
+byte. So :func:`parse_case` keeps, per case field, the text of its value in
+the last file it read in the canonical layout and the value it read from
+it, and reuses that value, the very same tuple, while the next file holds
+the same text; a snapshot has only ``buses`` and ``generators`` decoded,
+and loaded snapshots share their base's tuples.
+The case is the one the plain read gives; :func:`parse_case` states the
+rules that make that so.
+
 Case files and config files are read under one rule, by :func:`from_json`:
 each value has the JSON type of its dataclass field (an integer for an
 ``int``, any number for a ``float``, ``true``/``false`` for a ``bool``, a
@@ -47,6 +56,7 @@ import enum
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property, partial
 from importlib import resources
@@ -73,7 +83,6 @@ __all__ = [
     "save_case",
     "bundled_case",
     "bundled_case_names",
-    "derive_admittance_params",
     "plant_setpoints",
     "with_plant_setpoints",
     "with_loads",
@@ -246,17 +255,6 @@ class GridCase:
         return len(self.branches)
 
 
-def derive_admittance_params(branch: Branch) -> tuple[float, float]:
-    """Series conductance and susceptance of a branch's pi-model.
-
-    g = r / (r^2 + x^2), b = -x / (r^2 + x^2).
-    """
-    z2 = branch.r * branch.r + branch.x * branch.x
-    if z2 <= 0.0:
-        raise ValueError(f"branch {branch.id}: zero series impedance")
-    return branch.r / z2, -branch.x / z2
-
-
 def _validate(case: GridCase) -> None:
     if case.base_mva <= 0:
         raise CaseSemanticError("base_mva must be positive")
@@ -344,6 +342,11 @@ def _validate(case: GridCase) -> None:
     for m in case.monitored_branches:
         if m not in branch_set:
             raise CaseSemanticError(f"monitored branch {m} does not exist")
+    for name in ("monitored_buses", "monitored_branches"):
+        listed = getattr(case, name)
+        if len(set(listed)) != len(listed):
+            repeated = next(m for i, m in enumerate(listed) if m in listed[:i])
+            raise CaseSemanticError(f"{name} lists {repeated} more than once")
 
     _check_connected(case)
 
@@ -394,7 +397,40 @@ def parse_case(text: str) -> GridCase:
     stored as given. Raises :class:`CaseSyntaxError` for malformed text (with
     position) and :class:`CaseSemanticError` for a value of the wrong JSON
     type (see :func:`from_json`) or an invariant violation.
+
+    A file in :func:`serialize_case`'s layout is read field by field: a
+    field whose value text equals the text last read for it reuses the value
+    read then (the Memo paragraph of the module docstring). The memo is
+    exact under these rules:
+
+    - The split is exact. The text must start with ``{\\n  "`` and end with
+      ``\\n}\\n``, and splitting what lies between at ``,\\n  "`` must give
+      exactly the case fields, in order, each as ``<name>": <value text>``.
+      If every value text then decodes as JSON, the whole text is a JSON
+      object with exactly these keys, in this order, holding these values;
+      whatever wrote it, it reads as the path below would read it. (In a
+      file :func:`serialize_case` wrote, strings hold no raw newline and
+      record lines start with four spaces, so the separator occurs only
+      between top-level keys.)
+    - A value text matches on exact text equality (``==`` on ``str``),
+      never on the value it decodes to: ``-0.0 == 0.0``, ``1 == 1.0 ==
+      True`` and ``0 == False``, yet each is written, and read, differently.
+    - A value is shared between loaded cases only because it is immutable:
+      the readers build tuples of frozen records with scalar or tuple
+      fields, so the write memo's identity rule keeps holding too.
+    - Each entry is one immutable ``(text, value)`` pair, written in one
+      assignment, so a thread never reads the text of one entry with the
+      value of another. There is one entry per field and nothing to size.
+    - Each value is read by the field's :func:`from_json` reader, and the
+      case is finished as :func:`from_json` finishes it, so
+      ``GridCase.__post_init__`` validates it in full. Any other layout,
+      and any error on this path, goes to the path below, which raises the
+      error with its class, message and position.
     """
+    with suppress(Exception):     # the path below raises it, as for any layout
+        case = _parse_canonical(text)
+        if case is not None:
+            return case
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -411,6 +447,35 @@ _CASE_FIELDS = tuple(f.name for f in fields(GridCase))
 # The GridCase fields that hold records, written one record per line.
 _RECORD_LISTS = frozenset(name for name, tp in get_type_hints(GridCase).items()
                           if any(is_dataclass(arg) for arg in get_args(tp)))
+
+
+# parse_case's memo: per case field, the text of its value in the last
+# canonical file read and the value read from it, as one (text, value) pair.
+# No text equals None, so a fresh entry never matches. See parse_case.
+_PARSE_MEMO: dict[str, tuple[str | None, Any]] = dict.fromkeys(_CASE_FIELDS, (None, None))
+
+
+def _parse_canonical(text: str) -> GridCase | None:
+    """The case in ``text`` read through the parse memo, or None when the
+    text is not in the canonical layout; see :func:`parse_case`."""
+    if not (text.startswith('{\n  "') and text.endswith("\n}\n")):
+        return None
+    parts = text[5:-3].split(',\n  "')
+    if len(parts) != len(_CASE_FIELDS):
+        return None
+    readers = _class_readers(GridCase)[0]
+    case, state = _blank(GridCase)
+    for name, part in zip(_CASE_FIELDS, parts):
+        key, _, value_text = part.partition('": ')
+        if key != name:
+            return None
+        memo_text, value = _PARSE_MEMO[name]
+        if memo_text != value_text:
+            value = readers[name](json.loads(value_text))
+            _PARSE_MEMO[name] = (value_text, value)
+        state[name] = value
+    case.__post_init__()
+    return case
 
 
 # serialize_case's memo: per case field, the last tuple it encoded and the

@@ -223,7 +223,7 @@ def compile_grid(case: GridCase) -> CompiledGrid:
     branches = np.array(rows, dtype=float).reshape(-1, 7)
     f, t = branches[:, 0].astype(int), branches[:, 1].astype(int)
     r, x, b_charge, s_max, in_service = branches[:, 2:].T
-    z2 = r * r + x * x                          # as derive_admittance_params
+    z2 = r * r + x * x                          # 1 / (r + jx) = (r - jx) / z2
     y_series = (r / z2 + 1j * (-x / z2)) * in_service
     y_charge = 1j * b_charge * in_service
 

@@ -330,14 +330,6 @@ class SacAgent:
         gen = rng if rng is not None else self.rng
         return self._sample(_values(state)[None, :], gen)[0][0]
 
-    def log_prob(self, state: StateVector | np.ndarray, raw_action_u: np.ndarray) -> float:
-        """Log-density of the squashed action tanh(u) under the policy at
-        ``state``: Gaussian log-density of u minus the tanh change-of-variables
-        correction sum(log(1 - tanh(u)^2 + 1e-6))."""
-        mean, log_std, _, _ = self._policy_stats(_values(state)[None, :])
-        eps = (np.asarray(raw_action_u, dtype=float) - mean[0]) / np.exp(log_std[0])
-        return float(_squashed_gaussian(mean[0], log_std[0], eps)[1])
-
     # --- learning --------------------------------------------------------
 
     def compute_q_target(self, batch: Batch, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -6,7 +6,18 @@ admittance assembly inputs; used to cross-check solved voltages.
 
 import numpy as np
 
-from gridsac.grid_model import BusKind, GridCase, derive_admittance_params
+from gridsac.grid_model import Branch, BusKind, GridCase
+
+
+def derive_admittance_params(branch: Branch) -> tuple[float, float]:
+    """Series conductance and susceptance of a branch's pi-model.
+
+    g = r / (r^2 + x^2), b = -x / (r^2 + x^2).
+    """
+    z2 = branch.r * branch.r + branch.x * branch.x
+    if z2 <= 0.0:
+        raise ValueError(f"branch {branch.id}: zero series impedance")
+    return branch.r / z2, -branch.x / z2
 
 
 def oracle_admittance(case: GridCase) -> np.ndarray:

@@ -12,9 +12,11 @@ from dataclasses import replace
 import numpy as np
 
 from gridsac.environment import StateVector, state_layout
-from gridsac.grid_model import BusKind, GridCase, derive_admittance_params
+from gridsac.grid_model import BusKind, GridCase
 from gridsac.power_flow import (BranchFlows, PowerFlowSolution, QLimitSwitch,
                                 SolverOptions, ViolationReport)
+
+from pf_oracle import derive_admittance_params
 
 
 def build_admittance(case: GridCase) -> np.ndarray:

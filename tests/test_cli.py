@@ -193,6 +193,20 @@ def test_solve_case_with_a_value_of_the_wrong_json_type_is_a_data_error(
     _assert_data_error(_run_cli("solve", str(path)), str(path), fragment)
 
 
+@pytest.mark.parametrize("key, listed, fragment", [
+    ("monitored_buses", [1, 2, 3, 2], "monitored_buses lists 2 more than once"),
+    ("monitored_branches", [3, 1, 3], "monitored_branches lists 3 more than once"),
+], ids=["bus", "branch"])
+def test_solve_case_with_a_repeated_monitored_id_is_a_data_error(tmp_path, key, listed,
+                                                                 fragment):
+    # A repeated id would count its voltage or flow violation twice.
+    doc = json.loads(serialize_case(bundled_case("case3")))
+    doc[key] = listed
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    _assert_data_error(_run_cli("solve", str(path)), str(path), fragment)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_train_with_a_non_finite_target_entropy_is_a_data_error(tmp_path, value):
     # With snapshots in place, only the config value can stop the run.

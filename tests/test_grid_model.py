@@ -1,6 +1,9 @@
 """Case model: parsing, serialization, validation, derived admittances."""
 
 import json
+import math
+import sys
+import threading
 from dataclasses import asdict, fields, replace
 from importlib import resources
 
@@ -11,13 +14,13 @@ from hypothesis import strategies as st
 
 from gridsac import grid_model
 from gridsac.grid_model import (V_SET_MAX, V_SET_MIN, Branch, Bus, BusKind,
-                                CaseSemanticError, CaseSyntaxError, Generator,
+                                CaseError, CaseSemanticError, CaseSyntaxError, Generator,
                                 GridCase, Plant, bundled_case, bundled_case_names,
-                                derive_admittance_params, load_case,
-                                parse_case, serialize_case,
+                                from_json, load_case, parse_case, serialize_case,
                                 with_generation, with_loads,
                                 with_plant_setpoints)
 from gridsac.harness import SnapshotGenSpec, generate_snapshots, snapshot_paths
+from gridsac.power_flow import compile_grid
 
 from conftest import make_three_bus, make_two_bus
 
@@ -38,6 +41,15 @@ MINIMAL_TWO_BUS = """
 }
 """
 
+CASE14_TEXT = (resources.files("gridsac") / "cases" / "case14.json").read_text()
+
+
+@pytest.fixture
+def warm_parse_memo():
+    """The parse memo after a good case14 load, as in a run that has loaded
+    its base case: error tests then show that a warm memo changes no error."""
+    parse_case(CASE14_TEXT)
+
 
 def test_parse_minimal_case():
     case = parse_case(MINIMAL_TWO_BUS)
@@ -54,7 +66,7 @@ def test_parse_minimal_case():
     assert case.branch_by_id[1].in_service is True
 
 
-def test_parse_syntax_error_reports_position():
+def test_parse_syntax_error_reports_position(warm_parse_memo):
     with pytest.raises(CaseSyntaxError) as exc:
         parse_case('{"base_mva": 100.0,\n  "buses": [}')
     assert exc.value.line == 2
@@ -71,9 +83,13 @@ def test_parse_syntax_error_reports_position():
     (lambda d: d["branches"][0].update(r=-0.1), "negative resistance"),
     (lambda d: d["buses"][0].update(v_min=1.1, v_max=1.0), "v_min"),
     (lambda d: d.update(monitored_buses=[1, 2, 7]), "monitored bus"),
+    (lambda d: d.update(monitored_buses=[1, 2, 1]), "monitored_buses lists 1 more than once"),
+    (lambda d: d.update(monitored_buses=[2, 2]), "monitored_buses lists 2 more than once"),
+    (lambda d: d.update(monitored_branches=[1, 1]),
+     "monitored_branches lists 1 more than once"),
     (lambda d: d["buses"][0].update(frequency=50), "unknown Bus keys"),
 ])
-def test_parse_semantic_errors(mutate, fragment):
+def test_parse_semantic_errors(mutate, fragment, warm_parse_memo):
     doc = json.loads(MINIMAL_TWO_BUS)
     mutate(doc)
     with pytest.raises(CaseSemanticError) as exc:
@@ -93,7 +109,7 @@ def _minimal(**edits):
     return doc
 
 
-def test_reader_messages_at_document_level():
+def test_reader_messages_at_document_level(warm_parse_memo):
     assert _parse_error([1, 2]) == "GridCase must be a JSON object"
     assert (_parse_error(_minimal(zone="north", area=3))
             == "unknown GridCase keys: area, zone")
@@ -134,7 +150,7 @@ def test_reader_messages_at_document_level():
         "bus-unknown-kind", "bus-null-p_load", "branch-integer-in_service",
         "generator-string-p_gen", "plant-integer-generators", "bus-unknown-keys",
         "plant-string-generator-item"])
-def test_reader_messages_per_record(key, record, message):
+def test_reader_messages_per_record(key, record, message, warm_parse_memo):
     assert _parse_error(_minimal(**{key: [record]})) == message
 
 
@@ -161,13 +177,13 @@ def _case14_with(edit):
 ], ids=["float-bus-id", "float-plant-ref", "float-monitored-bus", "string-v_mag",
         "true-p_load", "integer-plant-name", "integer-monitored-buses",
         "integer-buses", "string-plant-generators", "overflowing-p_load", "null-v_set"])
-def test_value_of_the_wrong_json_type_is_refused(edit, record, key):
+def test_value_of_the_wrong_json_type_is_refused(edit, record, key, warm_parse_memo):
     with pytest.raises(CaseSemanticError) as exc:
         parse_case(_case14_with(edit))
     assert str(exc.value).startswith(f"{record} key {key} must be ")
 
 
-def test_integer_beyond_the_digit_limit_is_a_syntax_error():
+def test_integer_beyond_the_digit_limit_is_a_syntax_error(warm_parse_memo):
     # json.loads raises a plain ValueError for it, not a JSONDecodeError.
     text = MINIMAL_TWO_BUS.replace('"p_load": 0.5', '"p_load": ' + "9" * 5000)
     with pytest.raises(CaseSyntaxError, match="digits"):
@@ -410,6 +426,146 @@ def test_memo_does_not_remember_a_list_that_changes_between_calls():
     assert '  "monitored_buses": [3, 1],' in serialize_case(case).splitlines()
 
 
+# --- parse_case's memo: a field's value is reused while its text is unchanged ---
+
+SHARED_FIELDS = ("branches", "plants", "monitored_buses", "monitored_branches")
+
+
+def canonical_layout(doc):
+    """The JSON document ``doc`` as text in serialize_case's layout, one
+    top-level key and one record per line, whatever its values hold."""
+    lines = []
+    for key, value in doc.items():
+        if key in RECORD_LISTS and isinstance(value, list) and value:
+            records = ",\n".join("    " + json.dumps(record) for record in value)
+            lines.append(f'  "{key}": [\n{records}\n  ]')
+        else:
+            lines.append(f'  "{key}": {json.dumps(value)}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def assert_read_as_the_generic_path(case, text):
+    assert case == from_json(GridCase, json.loads(text))
+    assert serialize_case(case) == text
+
+
+def test_parse_memo_shares_the_base_fields_with_generated_snapshots(tmp_path):
+    spec = SnapshotGenSpec(base_case_path="src/gridsac/cases/case14.json",
+                           output_dir=str(tmp_path), n_snapshots=50, seed=9)
+    paths = snapshot_paths(generate_snapshots(spec))
+    assert len(paths) == 50
+    cases = [parse_case(CASE14_TEXT)]
+    assert_read_as_the_generic_path(cases[0], CASE14_TEXT)
+    for path in paths:
+        cases.append(load_case(path))
+        assert_read_as_the_generic_path(cases[-1], path.read_text())
+    # Every load hit the shared fields' entries, which still hold case14's tuples.
+    for name in SHARED_FIELDS:
+        assert grid_model._PARSE_MEMO[name][1] is getattr(cases[0], name)
+        assert all(getattr(case, name) is getattr(cases[0], name) for case in cases)
+    assert cases[1].buses != cases[2].buses
+
+
+def test_parse_memo_follows_two_cases_read_in_turn():
+    texts = {name: (resources.files("gridsac") / "cases" / f"{name}.json").read_text()
+             for name in ("case3", "case14")}
+    for name in ("case3", "case14", "case3", "case3", "case14", "case14", "case3"):
+        assert_read_as_the_generic_path(parse_case(texts[name]), texts[name])
+
+
+def test_parse_memo_tells_equal_values_apart_by_text():
+    case = make_three_bus()
+    signed = replace(case, branches=(case.branches[0],
+                                     replace(case.branches[1], b_charge=-0.0),
+                                     case.branches[2]))
+    plain_text, signed_text = serialize_case(case), serialize_case(signed)
+    assert signed_text.replace('"b_charge": -0.0', '"b_charge": 0.0') == plain_text
+    for text, sign in ((plain_text, 1.0), (signed_text, -1.0), (plain_text, 1.0)):
+        loaded = parse_case(text)
+        assert math.copysign(1.0, loaded.branches[1].b_charge) == sign
+        assert_read_as_the_generic_path(loaded, text)
+
+
+@pytest.mark.parametrize("indent", [2, None])
+def test_parse_memo_is_not_used_for_other_layouts(case3, indent):
+    # json.dumps writes no final newline, so neither text is canonical.
+    parse_case(CASE14_TEXT)
+    entries = dict(grid_model._PARSE_MEMO)
+    text = json.dumps(json.loads(serialize_case(case3)), indent=indent)
+    assert parse_case(text) == from_json(GridCase, json.loads(text)) == case3
+    assert all(grid_model._PARSE_MEMO[name] is entries[name] for name in entries)
+
+
+def test_parse_memo_under_threads_reading_two_cases():
+    # More threads than cores and a short switch interval: a thread that read
+    # one entry's text with another's value would load a case that does not
+    # write back to its own text.
+    texts = [(resources.files("gridsac") / "cases" / f"{name}.json").read_text()
+             for name in ("case3", "case14")]
+    wrong = []
+
+    def load(offset):
+        for k in range(100):
+            text = texts[(k + offset) % 2]
+            if serialize_case(parse_case(text)) != text:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def _edit_document(edit):
+    def edited(text):
+        doc = json.loads(text)
+        edit(doc)
+        return canonical_layout(doc)
+    return edited
+
+
+CANONICAL_ERRORS = {
+    "syntax-first-value": lambda t: t.replace('"base_mva": 100.0', '"base_mva": 100.0.0'),
+    "syntax-record": lambda t: t.replace('"r": ', '"r" ', 1),
+    "syntax-last-value": lambda t: t.replace("]\n}\n", "\n}\n"),
+    "digit-limit": lambda t: t.replace('"p_load": 0.0', '"p_load": ' + "9" * 5000, 1),
+    "float-bus-id": _edit_document(lambda d: d["buses"][1].update(id=2.7)),
+    "overflowing-p_load": _edit_document(lambda d: d["buses"][1].update(p_load=10 ** 400)),
+    "integer-buses": _edit_document(lambda d: d.update(buses=7)),
+    "string-plant-generators": _edit_document(lambda d: d["plants"][0].update(generators="12")),
+    "unknown-record-key": _edit_document(lambda d: d["branches"][0].update(zone=1)),
+    "missing-record-key": _edit_document(lambda d: d["generators"][0].pop("q_max")),
+    "two-slacks": _edit_document(lambda d: d["buses"][1].update(kind="Slack")),
+    "dangling-branch": _edit_document(lambda d: d["branches"][0].update(to_bus=99)),
+    "repeated-monitored-bus": _edit_document(lambda d: d["monitored_buses"].append(1)),
+    "unknown-case-key": _edit_document(lambda d: d.update(zone="north")),
+    "missing-case-key": _edit_document(lambda d: d.pop("plants")),
+}
+
+
+def _error_of(text):
+    with pytest.raises(CaseError) as info:
+        parse_case(text)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@pytest.mark.parametrize("edit", CANONICAL_ERRORS.values(), ids=CANONICAL_ERRORS.keys())
+def test_parse_memo_raises_what_the_generic_path_raises(edit, warm_parse_memo, monkeypatch):
+    text = edit(CASE14_TEXT)
+    got = _error_of(text)
+    monkeypatch.setattr(grid_model, "_parse_canonical", lambda text: None)
+    assert got == _error_of(text)
+
+
 @pytest.mark.parametrize("name", bundled_case_names())
 def test_serialized_text_loads_to_its_document(name):
     case = bundled_case(name)
@@ -424,7 +580,7 @@ def test_indented_case_file_still_loads(name):
     assert parse_case(old_layout) == case
 
 
-def test_torn_case_file_is_a_syntax_error(case14):
+def test_torn_case_file_is_a_syntax_error(case14, warm_parse_memo):
     # A file cut at any line boundary before its closing brace (a crash
     # during save_case) fails to load, and the error names a line.
     text = serialize_case(case14)
@@ -442,23 +598,27 @@ def test_unknown_bundled_case():
         bundled_case("case999")
 
 
-# --- derived admittance -------------------------------------------------------
+# --- derived admittance: the series admittance compile_grid builds --------------
 
 def test_admittance_lossless_line():
-    g, b = derive_admittance_params(Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.1))
-    assert g == 0.0
-    assert b == pytest.approx(-10.0, abs=1e-12)
+    (y,) = compile_grid(make_two_bus(r=0.0, x=0.1)).y_series
+    assert y.real == 0.0
+    assert y.imag == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_admittance_direct_formula():
-    g, b = derive_admittance_params(Branch(id=1, from_bus=1, to_bus=2, r=0.01, x=0.1))
-    assert g == pytest.approx(0.01 / 0.0101, rel=1e-12)
-    assert b == pytest.approx(-0.1 / 0.0101, rel=1e-12)
+    (y,) = compile_grid(make_two_bus(r=0.01, x=0.1)).y_series
+    assert y.real == pytest.approx(0.01 / 0.0101, rel=1e-12)
+    assert y.imag == pytest.approx(-0.1 / 0.0101, rel=1e-12)
 
 
 def test_admittance_zero_impedance_rejected():
-    with pytest.raises(ValueError, match="zero series impedance"):
-        derive_admittance_params(Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.0))
+    # A case with such a branch is refused before any grid is compiled; the
+    # second impedance is not zero, but r^2 + x^2 underflows to zero.
+    with pytest.raises(CaseSemanticError, match="zero reactance"):
+        make_two_bus(r=0.0, x=0.0)
+    with pytest.raises(CaseSemanticError, match="zero series impedance"):
+        make_two_bus(r=0.0, x=1e-200)
 
 
 def test_with_plant_setpoints_immutable(case3):

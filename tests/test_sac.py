@@ -14,8 +14,8 @@ from gridsac.environment import GridControlEnv
 from gridsac.grid_model import bundled_case, with_plant_setpoints
 from gridsac.neural import forward, network_to_flat
 from gridsac.sac import (Batch, ReplayBuffer, SacAgent, SacConfig, SelectMode,
-                         Transition, load_checkpoint, raw_to_setpoints,
-                         save_checkpoint, setpoints_to_raw, train)
+                         Transition, _squashed_gaussian, load_checkpoint,
+                         raw_to_setpoints, save_checkpoint, setpoints_to_raw, train)
 
 from conftest import singular_jacobian_from_second_step
 
@@ -176,12 +176,20 @@ def test_setpoint_mapping_roundtrip():
     assert np.allclose(setpoints_to_raw(v), raw, atol=1e-12)
 
 
-# --- log-probability ------------------------------------------------------------------
+# --- log-probability: _squashed_gaussian at the policy's own statistics --------------
+
+def log_prob(agent, states, u):
+    """Log-density of the squashed actions tanh(u) under the policy at each
+    state, as the update computes it: ``_policy_stats`` feeds
+    ``_squashed_gaussian`` with eps = (u - mean) / std."""
+    mean, log_std, _, _ = agent._policy_stats(np.atleast_2d(states))
+    return _squashed_gaussian(mean, log_std, (u - mean) / np.exp(log_std))[1]
+
 
 def test_log_prob_standard_normal_at_mode():
     agent = make_agent()
     zero_policy(agent)  # mean 0, log_std 0 everywhere
-    lp = agent.log_prob(np.zeros(STATE_DIM), np.zeros(ACTION_DIM))
+    (lp,) = log_prob(agent, np.zeros(STATE_DIM), np.zeros(ACTION_DIM))
     per_dim = -0.5 * math.log(2 * math.pi) - math.log(1.0 - 0.0 + 1e-6)
     assert lp == pytest.approx(ACTION_DIM * per_dim, rel=1e-12)
 
@@ -190,7 +198,7 @@ def test_log_prob_exceeds_gaussian_near_saturation():
     agent = make_agent()
     zero_policy(agent)
     u = np.array([3.0, 0.0])
-    lp = agent.log_prob(np.zeros(STATE_DIM), u)
+    (lp,) = log_prob(agent, np.zeros(STATE_DIM), u)
     gaussian = float(np.sum(-0.5 * np.log(2 * np.pi) - 0.5 * u ** 2))
     assert lp > gaussian  # the tanh correction concentrates density
 
@@ -208,9 +216,8 @@ def test_log_prob_matches_monte_carlo_density():
     width = edges[1] - edges[0]
     keep = hist > 0
     p_hat = hist[keep] / hist[keep].sum()
-    u_centers = np.arctanh(centers[keep])
-    density = np.array([math.exp(agent.log_prob(np.zeros(1), np.array([u])))
-                        for u in u_centers])
+    u_centers = np.arctanh(centers[keep])[:, None]
+    density = np.exp(log_prob(agent, np.zeros((len(u_centers), 1)), u_centers))
     p_model = density * width
     p_model = p_model / p_model.sum()
     kl = float(np.sum(p_hat * np.log(p_hat / p_model)))
